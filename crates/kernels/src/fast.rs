@@ -6,107 +6,153 @@
 //! *adjacent outputs* at once — independent FMA chains that LLVM
 //! SLP-vectorises into packed FMA for the row-broadcast shapes
 //! (`gemm_nn`/`gemm_tn`/`gemv_t`, where a `B` row is read
-//! contiguously) and keeps in scalar registers for the dot-product
-//! shapes (`gemm_nt`/`gemv`, where each output reduces its own row).
-//! No reassociation ever happens within a single output: the fast and
-//! reference backends round each step identically except for the
-//! fused multiply-add (≤ 1 ulp per step).
+//! contiguously). `gemm_nt` reaches the same loop by packing `Bᵀ`
+//! first; only the matrix-vector `gemv`, where each output reduces its
+//! own row, keeps eight scalar chains. No reassociation ever happens
+//! within a single output: the fast and reference backends round each
+//! step identically except for the fused multiply-add (≤ 1 ulp per
+//! step).
+
+use std::cell::RefCell;
 
 /// Width of the vectorised output block (two AVX2 `f32x8` lanes).
 const NB: usize = 16;
 
+/// Rows of `A` that [`gemm_nn`] runs together, sharing each `B` load.
+const MB: usize = 4;
+
 /// C\[m×n\] += A\[m×k\] · B\[k×n\], row-major.
+///
+/// Rows go in blocks of [`MB`]: each loaded `B` block feeds `MB` rows,
+/// so `MB` × block-width independent FMA chains are in flight. Every
+/// output still reduces its own single chain over ascending `k`.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nn: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm_nn: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nn: C shape mismatch");
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + NB <= n {
-            let mut acc = [0.0f32; NB];
-            acc.copy_from_slice(&crow[j..j + NB]);
-            for (p, &av) in arow.iter().enumerate() {
-                let bp = &b[p * n + j..p * n + j + NB];
-                for x in 0..NB {
-                    acc[x] = av.mul_add(bp[x], acc[x]);
-                }
+    gemm_nn_strided(m, n, k, a, b, n, c, n);
+}
+
+/// [`gemm_nn`] with its own row strides: `B` rows are `ldb` apart and
+/// `C` rows `ldc` apart (`A` rows are contiguous). The tiled layer runs
+/// it over a packed `B` panel into a column window of its `C` tile.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_nn_strided(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut i = 0;
+    while i + MB <= m {
+        let rows = &a[i * k..(i + MB) * k];
+        gemm_nn_rows::<MB>(n, k, rows, b, ldb, &mut c[i * ldc..], ldc);
+        i += MB;
+    }
+    for i in i..m {
+        let row = &a[i * k..(i + 1) * k];
+        gemm_nn_rows::<1>(n, k, row, b, ldb, &mut c[i * ldc..], ldc);
+    }
+}
+
+/// [`gemm_nn_strided`] for `R` rows (`a` is `R × k`), in column blocks
+/// of [`NB`], then 4, then 1.
+fn gemm_nn_rows<const R: usize>(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut j = 0;
+    while j + NB <= n {
+        gemm_nn_block::<R, NB>(j, k, a, b, ldb, c, ldc);
+        j += NB;
+    }
+    while j + 4 <= n {
+        gemm_nn_block::<R, 4>(j, k, a, b, ldb, c, ldc);
+        j += 4;
+    }
+    while j < n {
+        gemm_nn_block::<R, 1>(j, k, a, b, ldb, c, ldc);
+        j += 1;
+    }
+}
+
+/// `C[:, j..j+W] += A · B[:, j..j+W]` for `R` rows: `R × W`
+/// accumulators, one per output.
+fn gemm_nn_block<const R: usize, const W: usize>(
+    j: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r.copy_from_slice(&c[r * ldc + j..r * ldc + j + W]);
+    }
+    for p in 0..k {
+        let bp = &b[p * ldb + j..p * ldb + j + W];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let av = a[r * k + p];
+            for x in 0..W {
+                acc_r[x] = av.mul_add(bp[x], acc_r[x]);
             }
-            crow[j..j + NB].copy_from_slice(&acc);
-            j += NB;
         }
-        while j + 4 <= n {
-            let mut acc = [0.0f32; 4];
-            acc.copy_from_slice(&crow[j..j + 4]);
-            for (p, &av) in arow.iter().enumerate() {
-                let bp = &b[p * n + j..p * n + j + 4];
-                for x in 0..4 {
-                    acc[x] = av.mul_add(bp[x], acc[x]);
-                }
-            }
-            crow[j..j + 4].copy_from_slice(&acc);
-            j += 4;
-        }
-        while j < n {
-            let mut s = crow[j];
-            for (p, &av) in arow.iter().enumerate() {
-                s = av.mul_add(b[p * n + j], s);
-            }
-            crow[j] = s;
-            j += 1;
-        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        c[r * ldc + j..r * ldc + j + W].copy_from_slice(acc_r);
     }
 }
 
 /// C\[m×n\] += A\[m×k\] · Bᵀ where B is stored \[n×k\] row-major.
 ///
-/// This is the natural layout for `Dense`/LSTM weights (`out × in`):
-/// each output is a dot product of an `A` row with a `B` row, so the
-/// reduction cannot be packed without reassociating — eight
-/// independent scalar chains hide the FMA latency instead.
+/// This is the natural layout for `Dense`/LSTM weights (`out × in`).
+/// A single row is a matrix-vector product and goes to [`gemv`]. For
+/// `m ≥ 2`, `Bᵀ` is packed once into a reused thread-local `[k×n]`
+/// buffer and the product runs [`gemm_nn`]'s 16-wide row-broadcast
+/// loop. Packing moves operands, not arithmetic: each output still
+/// reduces one `mul_add` chain over ascending `k`, so the result is
+/// bit-identical to the dot-product form.
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt: C shape mismatch");
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 8 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let b4 = &b[(j + 4) * k..(j + 5) * k];
-            let b5 = &b[(j + 5) * k..(j + 6) * k];
-            let b6 = &b[(j + 6) * k..(j + 7) * k];
-            let b7 = &b[(j + 7) * k..(j + 8) * k];
-            let mut acc = [0.0f32; 8];
-            acc.copy_from_slice(&crow[j..j + 8]);
-            for (p, &av) in arow.iter().enumerate() {
-                acc[0] = av.mul_add(b0[p], acc[0]);
-                acc[1] = av.mul_add(b1[p], acc[1]);
-                acc[2] = av.mul_add(b2[p], acc[2]);
-                acc[3] = av.mul_add(b3[p], acc[3]);
-                acc[4] = av.mul_add(b4[p], acc[4]);
-                acc[5] = av.mul_add(b5[p], acc[5]);
-                acc[6] = av.mul_add(b6[p], acc[6]);
-                acc[7] = av.mul_add(b7[p], acc[7]);
-            }
-            crow[j..j + 8].copy_from_slice(&acc);
-            j += 8;
-        }
-        while j < n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut s = crow[j];
-            for (p, &av) in arow.iter().enumerate() {
-                s = av.mul_add(brow[p], s);
-            }
-            crow[j] = s;
-            j += 1;
-        }
+    if m == 1 {
+        // C[0,j] += Σ_p a[p]·b[j·k+p] is exactly y += B·a.
+        return gemv(n, k, b, a, c);
     }
+    if n == 0 || k == 0 {
+        // Nothing to add; the packing below needs non-empty rows.
+        return;
+    }
+    PACKED_B.with(|cell| {
+        let mut bt = cell.borrow_mut();
+        bt.clear();
+        bt.resize(k * n, 0.0);
+        // Write `Bᵀ` row by row: contiguous stores, strided loads.
+        for (p, bt_row) in bt.chunks_exact_mut(n).enumerate() {
+            for (slot, brow) in bt_row.iter_mut().zip(b.chunks_exact(k)) {
+                *slot = brow[p];
+            }
+        }
+        gemm_nn(m, n, k, a, &bt, c);
+    })
+}
+
+thread_local! {
+    /// [`gemm_nt`]'s packing buffer; it grows to the largest `Bᵀ` the
+    /// thread has packed and is reused from then on.
+    static PACKED_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// C\[m×n\] += Aᵀ · B where A is \[k×m\] and B is \[k×n\], row-major.

@@ -8,10 +8,11 @@
 //!   shipped with, preserved verbatim (same iteration order, same
 //!   `acc += a * b` arithmetic). This is the semantic ground truth.
 //! * [`fast`] — register-blocked microkernels built on [`f32::mul_add`]
-//!   with 4-wide output blocking. With `+fma` codegen (see
+//!   with 16- and 4-wide output blocking. With `+fma` codegen (see
 //!   `.cargo/config.toml`) each accumulation step is a single hardware
-//!   FMA; LLVM additionally SLP-vectorises the contiguous 4-wide
-//!   blocks into AVX lanes.
+//!   FMA; LLVM additionally SLP-vectorises the contiguous output
+//!   blocks into AVX lanes. `gemm_nt` packs `Bᵀ` once per call so it
+//!   runs the same vectorised loop as `gemm_nn`.
 //!
 //! ## Numerical contract
 //!
@@ -368,8 +369,8 @@ mod tests {
 
     #[test]
     fn one_row_gemm_nt_is_bitwise_gemv() {
-        // The m == 1 fast path must be indistinguishable from the
-        // blocked kernel: same chains, same rounding, every element.
+        // The m == 1 GEMV path must be indistinguishable from the packed
+        // multi-row kernel: same chains, same rounding, every element.
         let k = 13;
         let n = 9;
         let a: Vec<f32> = (0..k).map(|i| ((i * 37) as f32 * 0.013).sin()).collect();
@@ -378,9 +379,10 @@ mod tests {
             .collect();
         let mut via_dispatch = vec![0.25f32; n];
         gemm_nt(1, n, k, &a, &b, &mut via_dispatch);
-        let mut via_blocked = vec![0.25f32; n];
-        fast::gemm_nt(1, n, k, &a, &b, &mut via_blocked);
-        assert_eq!(via_dispatch, via_blocked);
+        let mut via_packed = vec![0.25f32; 2 * n];
+        fast::gemm_nt(2, n, k, &a.repeat(2), &b, &mut via_packed);
+        assert_eq!(via_dispatch, via_packed[..n]);
+        assert_eq!(via_dispatch, via_packed[n..]);
     }
 
     #[test]

@@ -50,6 +50,22 @@ fn forward_latency(path: &'static str) -> m2ai_obs::Histogram {
     }
 }
 
+/// Stacks equal-length frames row-wise into one `[rows × dim]` buffer.
+///
+/// # Panics
+///
+/// Panics if the frames differ in length.
+fn stack_rows(frames: &[impl AsRef<[f32]>], scratch: &mut KernelScratch) -> Vec<f32> {
+    let dim = frames.first().map_or(0, |f| f.as_ref().len());
+    let mut xs = scratch.take(frames.len() * dim);
+    for (r, f) in frames.iter().enumerate() {
+        let f = f.as_ref();
+        assert_eq!(f.len(), dim, "frames in one batch must share a length");
+        xs[r * dim..(r + 1) * dim].copy_from_slice(f);
+    }
+    xs
+}
+
 /// Magic bytes of a serialised [`StreamState`] (distinct from the
 /// `b"M2AI"` parameter-checkpoint magic so the two formats cannot be
 /// confused).
@@ -81,11 +97,24 @@ impl Encoder {
         kernels::with_thread_scratch(|s| self.forward_with(x, s))
     }
 
-    /// [`Encoder::forward`] reusing buffers from `scratch`.
+    /// [`Encoder::forward`] reusing buffers from `scratch`: the one-row
+    /// case of [`Encoder::forward_batch_with`].
     pub fn forward_with(&self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
+        self.forward_batch_with(x, 1, scratch)
+    }
+
+    /// Encodes `rows` stacked frames (`[rows × frame_dim]`, row-major)
+    /// in one pass per layer, returning `[rows × feature_dim]`.
+    /// Bit-identical to encoding the rows one at a time.
+    pub fn forward_batch_with(
+        &self,
+        xs: &[f32],
+        rows: usize,
+        scratch: &mut KernelScratch,
+    ) -> Vec<f32> {
         match self {
-            Encoder::Sequential(s) => s.forward_with(x, scratch),
-            Encoder::TwoBranch(t) => t.forward_with(x, scratch),
+            Encoder::Sequential(s) => s.forward_batch_with(xs, rows, scratch),
+            Encoder::TwoBranch(t) => t.forward_batch_with(xs, rows, scratch),
         }
     }
 
@@ -119,19 +148,33 @@ impl Encoder {
         kernels::with_thread_scratch(|s| self.forward_cached_with(x, s))
     }
 
-    /// [`Encoder::forward_cached`] reusing buffers from `scratch`.
+    /// [`Encoder::forward_cached`] reusing buffers from `scratch`: the
+    /// one-row case of [`Encoder::forward_cached_batch_with`].
     pub fn forward_cached_with(
         &self,
         x: &[f32],
         scratch: &mut KernelScratch,
     ) -> (Vec<f32>, EncoderCache) {
+        self.forward_cached_batch_with(x, 1, scratch)
+    }
+
+    /// Caching forward pass over `rows` stacked frames (`[rows ×
+    /// frame_dim]`), returning `[rows × feature_dim]` and the cache
+    /// [`Encoder::backward_with`] needs. Bit-identical to encoding the
+    /// rows one at a time.
+    pub fn forward_cached_batch_with(
+        &self,
+        xs: &[f32],
+        rows: usize,
+        scratch: &mut KernelScratch,
+    ) -> (Vec<f32>, EncoderCache) {
         match self {
             Encoder::Sequential(s) => {
-                let c = s.forward_cached_with(x, scratch);
+                let c = s.forward_cached_batch_with(xs, rows, scratch);
                 (c.output.clone(), EncoderCache::Sequential(c))
             }
             Encoder::TwoBranch(t) => {
-                let c = t.forward_cached_with(x, scratch);
+                let c = t.forward_cached_batch_with(xs, rows, scratch);
                 (c.output.clone(), EncoderCache::TwoBranch(c))
             }
         }
@@ -146,7 +189,10 @@ impl Encoder {
         kernels::with_thread_scratch(|s| self.backward_with(cache, grad_out, s))
     }
 
-    /// [`Encoder::backward`] reusing buffers from `scratch`.
+    /// [`Encoder::backward`] reusing buffers from `scratch`. The
+    /// gradient covers every row the cache holds (`[rows ×
+    /// feature_dim]`), and the encoder's parameter gradients accumulate
+    /// bit-identically to the rows run one at a time in ascending order.
     ///
     /// # Panics
     ///
@@ -475,30 +521,32 @@ impl SequenceClassifier {
     }
 
     /// [`SequenceClassifier::forward_logits`] reusing buffers from
-    /// `scratch`; the per-frame head runs as one batched GEMM over
-    /// the whole sequence.
+    /// `scratch`; the encoder and the per-frame head each run as one
+    /// batch over the whole sequence.
     pub fn forward_logits_with(
         &self,
         frames: &[Vec<f32>],
         scratch: &mut KernelScratch,
     ) -> Vec<Vec<f32>> {
-        let feats: Vec<Vec<f32>> = frames
-            .iter()
-            .map(|f| self.encoder.forward_with(f, scratch))
-            .collect();
-        let reps: Vec<Vec<f32>> = match &self.lstm {
-            Some(stack) => stack.forward_sequence_with(&feats, scratch).outputs,
-            None => feats,
-        };
-        let t_len = reps.len();
+        let t_len = frames.len();
         if t_len == 0 {
             return Vec::new();
         }
-        let rep_dim = self.head.in_dim();
-        let mut reps_flat = scratch.take(t_len * rep_dim);
-        for (t, rep) in reps.iter().enumerate() {
-            reps_flat[t * rep_dim..(t + 1) * rep_dim].copy_from_slice(rep);
-        }
+        let xs = stack_rows(frames, scratch);
+        let feats = self.encoder.forward_batch_with(&xs, t_len, scratch);
+        scratch.recycle(xs);
+        let reps_flat = match &self.lstm {
+            Some(stack) => {
+                let seq: Vec<Vec<f32>> = feats
+                    .chunks_exact(stack.in_dim())
+                    .map(<[f32]>::to_vec)
+                    .collect();
+                scratch.recycle(feats);
+                let reps = stack.forward_sequence_with(&seq, scratch).outputs;
+                stack_rows(&reps, scratch)
+            }
+            None => feats,
+        };
         let logits_flat = self.head.forward_batch_with(&reps_flat, t_len, scratch);
         scratch.recycle(reps_flat);
         let out = logits_flat
@@ -528,10 +576,10 @@ impl SequenceClassifier {
     /// Advances `batch` independent streams by one frame each and
     /// returns each stream's running window-mean class probabilities.
     ///
-    /// This is the micro-batched hot path: per-session encoder outputs
-    /// are stacked row-wise so the LSTM step and the softmax head run
-    /// as `[batch × ·]` GEMMs. Row independence of the kernels makes
-    /// the result bit-identical to `batch` serial
+    /// This is the micro-batched hot path: the sessions' frames are
+    /// stacked row-wise so the encoder, the LSTM step and the softmax
+    /// head each run as `[batch × ·]` GEMMs. Row independence of the
+    /// kernels makes the result bit-identical to `batch` serial
     /// [`SequenceClassifier::step_with`] calls, in any slot order.
     ///
     /// # Panics
@@ -550,34 +598,21 @@ impl SequenceClassifier {
             return Vec::new();
         }
         let _span = forward_latency("step").time();
-        // Per-frame encoder (shared weights), gathered row-wise.
-        let feats: Vec<Vec<f32>> = frames
-            .iter()
-            .map(|f| self.encoder.forward_with(f, scratch))
-            .collect();
-        let rep_dim = self.head.in_dim();
+        // Per-frame encoder (shared weights) over every row at once.
+        let xs = stack_rows(frames, scratch);
+        let feats = self.encoder.forward_batch_with(&xs, batch, scratch);
+        scratch.recycle(xs);
         let reps_flat = match &self.lstm {
             Some(stack) => {
-                let feat_dim = stack.in_dim();
-                let mut xflat = scratch.take(batch * feat_dim);
-                for (r, feat) in feats.iter().enumerate() {
-                    xflat[r * feat_dim..(r + 1) * feat_dim].copy_from_slice(feat);
-                }
                 let mut lstm_states: Vec<&mut LstmStackState> = states
                     .iter_mut()
                     .map(|s| s.lstm.as_mut().expect("state built for an LSTM-less model"))
                     .collect();
-                let out = stack.step_batch_with(batch, &xflat, &mut lstm_states, scratch);
-                scratch.recycle(xflat);
+                let out = stack.step_batch_with(batch, &feats, &mut lstm_states, scratch);
+                scratch.recycle(feats);
                 out
             }
-            None => {
-                let mut flat = scratch.take(batch * rep_dim);
-                for (r, feat) in feats.iter().enumerate() {
-                    flat[r * rep_dim..(r + 1) * rep_dim].copy_from_slice(feat);
-                }
-                flat
-            }
+            None => feats,
         };
         let logits_flat = self.head.forward_batch_with(&reps_flat, batch, scratch);
         let means = logits_flat
@@ -793,8 +828,9 @@ impl SequenceClassifier {
 
     /// [`SequenceClassifier::loss_and_backprop`] reusing buffers from
     /// `scratch` — the signature `fit()` drives so the whole training
-    /// loop shares one arena per worker thread. The per-frame head
-    /// runs forward *and* backward as batched GEMMs over the sequence.
+    /// loop shares one arena per worker thread. The per-frame encoder
+    /// and head each run forward *and* backward once over the whole
+    /// sequence, bit-identical to running them frame by frame.
     ///
     /// # Panics
     ///
@@ -808,33 +844,28 @@ impl SequenceClassifier {
         assert!(!frames.is_empty(), "need at least one frame");
         assert!(label < self.n_classes, "label out of range");
 
-        // Forward with caches.
-        let mut enc_caches = Vec::with_capacity(frames.len());
-        let mut feats = Vec::with_capacity(frames.len());
-        for f in frames {
-            let (out, cache) = self.encoder.forward_cached_with(f, scratch);
-            feats.push(out);
-            enc_caches.push(cache);
-        }
-        let lstm_cache = self
-            .lstm
-            .as_ref()
-            .map(|s| s.forward_sequence_with(&feats, scratch));
-        let reps: &[Vec<f32>] = match &lstm_cache {
-            Some(c) => &c.outputs,
-            None => &feats,
+        // Forward with caches: the encoder runs once over all T frames.
+        let t_len = frames.len();
+        let xs = stack_rows(frames, scratch);
+        let (feats, enc_cache) = self.encoder.forward_cached_batch_with(&xs, t_len, scratch);
+        scratch.recycle(xs);
+        let lstm_cache = self.lstm.as_ref().map(|s| {
+            let seq: Vec<Vec<f32>> = feats
+                .chunks_exact(s.in_dim())
+                .map(<[f32]>::to_vec)
+                .collect();
+            s.forward_sequence_with(&seq, scratch)
+        });
+        let reps_flat = match &lstm_cache {
+            Some(c) => stack_rows(&c.outputs, scratch),
+            None => feats,
         };
 
         // Batched per-frame head + loss: one GEMM forward, one set of
         // GEMMs backward, same per-step accumulation order as the old
         // per-frame loop.
-        let t_len = frames.len();
         let rep_dim = self.head.in_dim();
         let scale = 1.0 / t_len as f32;
-        let mut reps_flat = scratch.take(t_len * rep_dim);
-        for (t, rep) in reps.iter().enumerate() {
-            reps_flat[t * rep_dim..(t + 1) * rep_dim].copy_from_slice(rep);
-        }
         let logits_flat = self.head.forward_batch_with(&reps_flat, t_len, scratch);
         let mut total_loss = 0.0;
         let mut grads_flat = scratch.take(t_len * self.n_classes);
@@ -852,20 +883,23 @@ impl SequenceClassifier {
         let rep_grads_flat = self.head.backward_batch(&reps_flat, &grads_flat, t_len);
         scratch.recycle(grads_flat);
         scratch.recycle(logits_flat);
-        scratch.recycle(reps_flat);
-        let rep_grads: Vec<Vec<f32>> = rep_grads_flat
-            .chunks_exact(rep_dim)
-            .map(|c| c.to_vec())
-            .collect();
 
-        // Back through LSTM (if any) and the encoder.
-        let feat_grads: Vec<Vec<f32>> = match (&mut self.lstm, &lstm_cache) {
-            (Some(stack), Some(cache)) => stack.backward_sequence_with(cache, &rep_grads, scratch),
-            _ => rep_grads,
+        // Back through LSTM (if any) and, once over all T frames, the
+        // encoder.
+        let feat_grads = match (&mut self.lstm, &lstm_cache) {
+            (Some(stack), Some(cache)) => {
+                // Only the stacked LSTM outputs came from `scratch`.
+                scratch.recycle(reps_flat);
+                let rep_grads: Vec<Vec<f32>> = rep_grads_flat
+                    .chunks_exact(rep_dim)
+                    .map(<[f32]>::to_vec)
+                    .collect();
+                let grads = stack.backward_sequence_with(cache, &rep_grads, scratch);
+                stack_rows(&grads, scratch)
+            }
+            _ => rep_grads_flat,
         };
-        for (cache, g) in enc_caches.iter().zip(&feat_grads) {
-            self.encoder.backward_with(cache, g, scratch);
-        }
+        self.encoder.backward_with(&enc_cache, &feat_grads, scratch);
         total_loss
     }
 }

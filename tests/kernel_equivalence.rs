@@ -7,12 +7,19 @@
 //! shapes, including the degenerate ones the lowering must not trip
 //! over: `kernel = 1`, `c_in = 1`, a single timestep, single rows.
 //!
+//! Within one backend the contract is exact: packed `gemm_nt` equals a
+//! plain dot loop, and batched `Conv1d`/encoder inference equals its
+//! rows run one at a time, bit for bit (the last property group).
+//!
 //! Tests that flip the process-global backend serialise behind
 //! [`BACKEND_LOCK`] and restore the default (`Fast`) even on panic.
 
-use m2ai::kernels::{self, fast, quant, reference, tiled, Backend};
+use m2ai::core::frames::{FeatureMode, FrameLayout};
+use m2ai::core::network::{build_model, Architecture};
+use m2ai::kernels::{self, fast, quant, reference, tiled, Backend, KernelScratch};
 use m2ai::nn::layers::{Conv1d, Dense, Layer};
 use m2ai::nn::lstm::Lstm;
+use m2ai::nn::model::Encoder;
 use m2ai::nn::Parameterized;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -385,5 +392,311 @@ proptest! {
         prop_assert!(max_abs_diff(&y_f, &y_r) <= TOL, "hidden states diverged");
         prop_assert!(max_abs_diff(&gx_f, &gx_r) <= TOL, "input grads diverged");
         prop_assert!(max_abs_diff(&g_f, &g_r) <= TOL, "weight grads diverged");
+    }
+}
+
+/// True when both slices hold the same `f32` bit patterns.
+fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Runs `rows` stacked inputs through `batched` in one call and through
+/// `single` one row at a time, returning both outputs.
+fn batched_and_per_row(
+    xs: &[f32],
+    rows: usize,
+    batched: impl Fn(&[f32], usize, &mut KernelScratch) -> Vec<f32>,
+    single: impl Fn(&[f32], &mut KernelScratch) -> Vec<f32>,
+) -> (Vec<f32>, Vec<f32>) {
+    let mut scratch = KernelScratch::new();
+    let all = batched(xs, rows, &mut scratch);
+    let per_row = xs
+        .chunks_exact(xs.len() / rows)
+        .flat_map(|x| single(x, &mut scratch))
+        .collect();
+    (all, per_row)
+}
+
+/// Per-frame encoder of the network `build_model` assembles, in f32
+/// and with int8 state prepared from `calib` (one frame per row).
+fn encoders_of(layout: &FrameLayout, arch: Architecture, calib: &[f32]) -> (Encoder, Encoder) {
+    let model = build_model(layout, 12, arch, 5);
+    let frames: Vec<Vec<f32>> = calib
+        .chunks_exact(layout.frame_dim())
+        .map(<[f32]>::to_vec)
+        .collect();
+    let mut quantized = model.clone();
+    quantized.prepare_quantized(std::iter::once(frames.as_slice()));
+    (model.encoder, quantized.encoder)
+}
+
+/// Runs one `rows`-row backward into `batched` and `rows` one-row
+/// backwards, in ascending row order, into `per_row` (a copy of the same
+/// layer), after one shared warm-up backward so every gradient chain
+/// continues from non-zero values. Returns both stacked `∂L/∂x` and
+/// both parameter-gradient sets.
+#[allow(clippy::type_complexity)]
+fn backward_batched_and_per_row<L: Parameterized + Clone>(
+    layer: &L,
+    xs: &[f32],
+    grads: &[f32],
+    rows: usize,
+    backward: impl Fn(&mut L, &[f32], &[f32], usize, &mut KernelScratch) -> Vec<f32>,
+) -> ((Vec<f32>, Vec<f32>), (Vec<f32>, Vec<f32>)) {
+    let (in_dim, out_dim) = (xs.len() / rows, grads.len() / rows);
+    let mut scratch = KernelScratch::new();
+    let mut batched = layer.clone();
+    backward(
+        &mut batched,
+        &xs[..in_dim],
+        &grads[..out_dim],
+        1,
+        &mut scratch,
+    );
+    let mut per_row = batched.clone();
+    let gx_all = backward(&mut batched, xs, grads, rows, &mut scratch);
+    let gx_rows: Vec<f32> = xs
+        .chunks_exact(in_dim)
+        .zip(grads.chunks_exact(out_dim))
+        .flat_map(|(x, g)| backward(&mut per_row, x, g, 1, &mut scratch))
+        .collect();
+    (
+        (gx_all, gx_rows),
+        (grads_of(&mut batched), grads_of(&mut per_row)),
+    )
+}
+
+// Batched inference must be bitwise, not banded: every output keeps
+// one ascending-k `mul_add` chain however the operands are laid out.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Packed `fast::gemm_nt` (and its dispatcher) equals a plain
+    /// ascending-k `mul_add` dot loop bit for bit, across row counts and
+    /// `n`/`k` hitting the 16-wide, 4-wide and scalar column tails.
+    #[test]
+    fn packed_gemm_nt_is_bitwise_dot_loop(
+        m in 1usize..=70,
+        n in 1usize..40,
+        k in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        let a = lcg_values(seed, m * k);
+        let b = lcg_values(seed ^ 0x7f4a, n * k);
+        let c0 = lcg_values(seed ^ 0x79b9, m * n);
+        let mut want = c0.clone();
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = want[i * n + j];
+                for p in 0..k {
+                    s = a[i * k + p].mul_add(b[j * k + p], s);
+                }
+                want[i * n + j] = s;
+            }
+        }
+        let mut direct = c0.clone();
+        fast::gemm_nt(m, n, k, &a, &b, &mut direct);
+        prop_assert!(bits_equal(&direct, &want), "fast::gemm_nt changed bits");
+        let dispatched = with_backend(Backend::Fast, || {
+            let mut c = c0;
+            kernels::gemm_nt(m, n, k, &a, &b, &mut c);
+            c
+        });
+        prop_assert!(bits_equal(&dispatched, &want), "dispatcher changed bits");
+    }
+
+    /// `Conv1d`'s one-GEMM batched forward equals its per-row forward
+    /// bit for bit on the fast, reference and int8 paths.
+    #[test]
+    fn conv1d_batched_is_bitwise_per_row(
+        c_in in 1usize..4,
+        c_out in 1usize..5,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+        extra in 0usize..8,
+        rows in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let len_in = kernel + extra;
+        let xs = lcg_values(seed, rows * c_in * len_in);
+        let mut quantized = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
+        quantized.observe(&xs);
+        quantized.freeze_quant();
+        let plain = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
+        for (backend, conv) in [
+            (Backend::Fast, &plain),
+            (Backend::Reference, &plain),
+            (Backend::QuantI8, &quantized),
+        ] {
+            let (all, per_row) = with_backend(backend, || {
+                batched_and_per_row(
+                    &xs,
+                    rows,
+                    |x, r, s| conv.forward_batch_with(x, r, s),
+                    |x, s| conv.forward_with(x, s),
+                )
+            });
+            prop_assert!(bits_equal(&all, &per_row), "{:?}: batch != per-row", backend);
+        }
+    }
+
+    /// The assembled encoder's batched forward equals its per-row
+    /// forward bit for bit for every architecture and feature mode
+    /// (the degraded modes get dense encoders, `LstmOnly` the identity),
+    /// on the fast, reference and int8 paths.
+    #[test]
+    fn encoder_batched_is_bitwise_per_row(
+        n_tags in 1usize..3,
+        rows in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let mut cases = Vec::new();
+        for arch in [Architecture::CnnLstm, Architecture::CnnOnly, Architecture::LstmOnly] {
+            cases.push((FeatureMode::Joint, arch));
+        }
+        for mode in [
+            FeatureMode::MusicOnly,
+            FeatureMode::PeriodogramOnly,
+            FeatureMode::PhaseOnly,
+            FeatureMode::RssiOnly,
+        ] {
+            cases.push((mode, Architecture::CnnLstm));
+        }
+        for (mode, arch) in cases {
+            let layout = FrameLayout::new(n_tags, 4, mode);
+            let xs = lcg_values(seed, rows * layout.frame_dim());
+            let (plain, quantized) = encoders_of(&layout, arch, &xs);
+            for (backend, enc) in [
+                (Backend::Fast, &plain),
+                (Backend::Reference, &plain),
+                (Backend::QuantI8, &quantized),
+            ] {
+                let (all, per_row) = with_backend(backend, || {
+                    batched_and_per_row(
+                        &xs,
+                        rows,
+                        |x, r, s| enc.forward_batch_with(x, r, s),
+                        |x, s| enc.forward_with(x, s),
+                    )
+                });
+                prop_assert!(
+                    bits_equal(&all, &per_row),
+                    "{:?}/{:?} on {:?}: batch != per-row", mode, arch, backend
+                );
+            }
+        }
+    }
+
+    /// `Dense`'s batched forward equals its one-row forward bit for bit
+    /// on the fast, reference and int8 paths, and a `rows`-row backward
+    /// equals `rows` one-row backwards into the same layer (`gw`, `gb`
+    /// and `gx`) on the fast and reference paths.
+    #[test]
+    fn dense_batched_is_bitwise_per_row(
+        in_dim in 1usize..40,
+        out_dim in 1usize..40,
+        rows in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let xs = lcg_values(seed, rows * in_dim);
+        let gs = lcg_values(seed ^ 0x0dd5, rows * out_dim);
+        let plain = Dense::new(in_dim, out_dim, 42);
+        let mut quantized = plain.clone();
+        quantized.observe(&xs);
+        quantized.freeze_quant();
+        for (backend, dense) in [
+            (Backend::Fast, &plain),
+            (Backend::Reference, &plain),
+            (Backend::QuantI8, &quantized),
+        ] {
+            let (all, per_row) = with_backend(backend, || {
+                batched_and_per_row(
+                    &xs,
+                    rows,
+                    |x, r, s| dense.forward_batch_with(x, r, s),
+                    |x, s| dense.forward_with(x, s),
+                )
+            });
+            prop_assert!(bits_equal(&all, &per_row), "{:?}: batch != per-row", backend);
+        }
+        for backend in [Backend::Fast, Backend::Reference] {
+            let ((gx_all, gx_rows), (g_all, g_rows)) = with_backend(backend, || {
+                backward_batched_and_per_row(&plain, &xs, &gs, rows, |d, x, g, r, _| {
+                    d.backward_batch(x, g, r)
+                })
+            });
+            prop_assert!(bits_equal(&gx_all, &gx_rows), "{:?}: gx differs", backend);
+            prop_assert!(bits_equal(&g_all, &g_rows), "{:?}: gw/gb differ", backend);
+        }
+    }
+
+    /// A `rows`-row `Conv1d` backward equals `rows` one-row backwards
+    /// into the same layer, bit for bit in `gw`, `gb` and `gx`, on the
+    /// fast and reference paths.
+    #[test]
+    fn conv1d_batched_backward_is_bitwise_per_row(
+        c_in in 1usize..4,
+        c_out in 1usize..5,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+        extra in 0usize..8,
+        rows in 1usize..11,
+        seed in any::<u64>(),
+    ) {
+        let len_in = kernel + extra;
+        let conv = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
+        let xs = lcg_values(seed, rows * conv.in_dim());
+        let gs = lcg_values(seed ^ 0x0dd5, rows * conv.out_dim());
+        for backend in [Backend::Fast, Backend::Reference] {
+            let ((gx_all, gx_rows), (g_all, g_rows)) = with_backend(backend, || {
+                backward_batched_and_per_row(&conv, &xs, &gs, rows, |c, x, g, r, s| {
+                    c.backward_batch_with(x, g, r, s)
+                })
+            });
+            prop_assert!(bits_equal(&gx_all, &gx_rows), "{:?}: gx differs", backend);
+            prop_assert!(bits_equal(&g_all, &g_rows), "{:?}: gw/gb differ", backend);
+        }
+    }
+
+    /// The assembled encoder's batched training pass (cached forward
+    /// over `rows` frames, then one backward) equals `rows` one-frame
+    /// passes bit for bit: outputs, `∂L/∂x` and every parameter
+    /// gradient, on the fast and reference paths.
+    #[test]
+    fn encoder_batched_backward_is_bitwise_per_row(
+        n_tags in 1usize..3,
+        rows in 1usize..11,
+        seed in any::<u64>(),
+    ) {
+        for (mode, arch) in [
+            (FeatureMode::Joint, Architecture::CnnLstm),
+            (FeatureMode::Joint, Architecture::LstmOnly),
+            (FeatureMode::PhaseOnly, Architecture::CnnLstm),
+        ] {
+            let layout = FrameLayout::new(n_tags, 4, mode);
+            let xs = lcg_values(seed, rows * layout.frame_dim());
+            let (enc, _) = encoders_of(&layout, arch, &xs);
+            let feat = enc.forward(&xs[..layout.frame_dim()]).len();
+            let gs = lcg_values(seed ^ 0x0dd5, rows * feat);
+            for backend in [Backend::Fast, Backend::Reference] {
+                let (outs, ((gx_all, gx_rows), (g_all, g_rows))) = with_backend(backend, || {
+                    let mut scratch = KernelScratch::new();
+                    let (all, _) = enc.forward_cached_batch_with(&xs, rows, &mut scratch);
+                    let per_row: Vec<f32> = xs
+                        .chunks_exact(layout.frame_dim())
+                        .flat_map(|x| enc.forward_cached_with(x, &mut scratch).0)
+                        .collect();
+                    let grads = backward_batched_and_per_row(&enc, &xs, &gs, rows, |e, x, g, r, s| {
+                        let (_, cache) = e.forward_cached_batch_with(x, r, s);
+                        e.backward_with(&cache, g, s)
+                    });
+                    ((all, per_row), grads)
+                });
+                let tag = format!("{mode:?}/{arch:?} on {backend:?}");
+                prop_assert!(bits_equal(&outs.0, &outs.1), "{}: outputs differ", tag);
+                prop_assert!(bits_equal(&gx_all, &gx_rows), "{}: gx differs", tag);
+                prop_assert!(bits_equal(&g_all, &g_rows), "{}: parameter grads differ", tag);
+            }
+        }
     }
 }

@@ -32,7 +32,10 @@ use std::sync::{Mutex, OnceLock};
 /// Sliding window length used throughout the suite.
 const HISTORY: usize = 3;
 
-/// Serialises the tests that flip the process-global kernel backend.
+/// Serialises every test that reads or flips the process-global
+/// kernel backend. The default-backend tests take it too: otherwise
+/// the reference-backend test can flip the backend between a stream's
+/// serial and batched runs.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
 fn layout() -> FrameLayout {
@@ -72,6 +75,7 @@ const ALL_ARCHS: [Architecture; 3] = [
 
 #[test]
 fn incremental_step_matches_full_replay_bitwise() {
+    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for arch in ALL_ARCHS {
         let m = model(arch);
         let frames: Vec<Vec<f32>> = (0..HISTORY).map(|t| synth_frame(5, t)).collect();
@@ -134,6 +138,7 @@ fn run_single(m: &SequenceClassifier, seed: u64, steps: usize) -> Vec<ServePredi
 fn batched_ticks_match_serial_ticks_bitwise() {
     const B: usize = 5;
     const STEPS: usize = 7;
+    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for arch in ALL_ARCHS {
         let m = model(arch);
         // Serial: each stream alone in its own engine.
@@ -204,6 +209,7 @@ proptest! {
     ) {
         const B: usize = 4;
         const STEPS: usize = 6;
+        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let m = shared_model();
         let mut eng = ServeEngine::new(
             m.clone(),

@@ -16,11 +16,26 @@
 //!
 //! The kernel backend is process-global, so both backends are exercised
 //! sequentially inside each property case rather than in separate
-//! `#[test]`s that could race.
+//! `#[test]`s, and every property serialises behind [`BACKEND_LOCK`] so
+//! one case cannot flip the backend under another.
 
 use m2ai::core::stream_extract::{StreamExtractor, StreamingExtract};
 use m2ai::prelude::*;
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// Serialises every test that reads or flips the global kernel backend.
+static BACKEND_LOCK: Mutex<()> = Mutex::new(());
+
+/// Restores the default backend when dropped, so a failing case cannot
+/// leave `Reference` selected for the rest of the binary.
+struct RestoreFast;
+
+impl Drop for RestoreFast {
+    fn drop(&mut self) {
+        m2ai::kernels::set_backend(m2ai::kernels::Backend::Fast);
+    }
+}
 
 /// Worst tolerated |streaming − batch| frame element on incremental
 /// windows (refresh windows are exact). Matches the BENCH_extract gate.
@@ -57,7 +72,8 @@ proptest! {
         let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(2, 4), FRAME_S);
         let cfg = StreamingExtract { refresh_every };
 
-        let initial = m2ai::kernels::backend();
+        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _restore = RestoreFast;
         for backend in [m2ai::kernels::Backend::Reference, m2ai::kernels::Backend::Fast] {
             m2ai::kernels::set_backend(backend);
             let mut ex = StreamExtractor::try_new(&builder, cfg)
@@ -94,7 +110,6 @@ proptest! {
                 prop_assert!(sq == bq, "window {} ({:?}) quality mismatch", k, backend);
             }
         }
-        m2ai::kernels::set_backend(initial);
     }
 
     /// `refresh_every = 1` degenerates to the exact batch path: every
@@ -110,6 +125,7 @@ proptest! {
         shuffle(&mut readings, shuffle_seed);
         let sorted = sorted_dedup(readings.clone());
 
+        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let layout = FrameLayout::new(2, 4, FeatureMode::Joint);
         let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(2, 4), FRAME_S);
         let mut ex = StreamExtractor::try_new(&builder, StreamingExtract { refresh_every: 1 })

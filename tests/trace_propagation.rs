@@ -132,7 +132,7 @@ fn span_trees_survive_a_kill_and_restart_migration() {
     f.checkpoint_now().expect("live shards checkpoint");
     f.kill_shard(0).expect("shard 0 alive");
     let t0 = Instant::now();
-    while !f.shard_alive(0) {
+    while !(f.restarts() >= 1 && f.shard_alive(0)) {
         assert!(t0.elapsed() < Duration::from_secs(30), "restart timed out");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -199,8 +199,10 @@ fn killed_shard_leaves_a_validating_flight_recorder_dump() {
     f.flush();
     f.checkpoint_now().expect("checkpoint");
     f.kill_shard(0).expect("alive");
+    // `kill_shard` only queues the kill: wait for the restart, which
+    // follows the dying worker's dump, not merely for a live shard.
     let t0 = Instant::now();
-    while !f.shard_alive(0) {
+    while !(f.restarts() >= 1 && f.shard_alive(0)) {
         assert!(t0.elapsed() < Duration::from_secs(30), "restart timed out");
         std::thread::sleep(Duration::from_millis(2));
     }
