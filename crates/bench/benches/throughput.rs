@@ -12,7 +12,7 @@ use m2ai_bench::throughput;
 use m2ai_core::calibration::PhaseCalibrator;
 use m2ai_core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai_core::network::{build_model, Architecture};
-use m2ai_kernels::{self as kernels, Backend};
+use m2ai_kernels::{Backend, KernelScratch};
 use m2ai_nn::Parameterized;
 use m2ai_rfsim::geometry::Point2;
 use m2ai_rfsim::reader::{Reader, ReaderConfig};
@@ -58,16 +58,15 @@ fn bench_throughput(c: &mut Criterion) {
         ("train_step_reference", Backend::Reference),
     ] {
         g.bench_function(label, |b| {
-            kernels::set_backend(backend);
+            let mut scratch = KernelScratch::with_backend(backend);
             b.iter_batched(
                 || model.clone(),
                 |mut m| {
                     m.zero_grad();
-                    black_box(m.loss_and_backprop(&frames, 3))
+                    black_box(m.loss_and_backprop_with(&frames, 3, &mut scratch))
                 },
                 BatchSize::SmallInput,
             );
-            kernels::set_backend(Backend::Fast);
         });
     }
     g.finish();

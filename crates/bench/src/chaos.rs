@@ -499,7 +499,6 @@ pub fn run() -> ChaosReport {
         "Chaos",
         "self-healing fabric: kill/stall/poison recovery + checkpoint overhead",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     quiet_shard_panics();
     let w = workload();
 

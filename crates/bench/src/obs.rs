@@ -38,7 +38,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "m2ai_extract_stream_scan_seconds",
     "m2ai_par_tasks_total",
     "m2ai_motion_catalog_builds_total",
-    "m2ai_kernels_backend_active",
     "m2ai_kernels_gemm_seconds",
     "m2ai_kernels_tile_tasks_total",
     "m2ai_kernels_quant_calib_absmax",
@@ -123,7 +122,6 @@ const NONZERO_HISTOGRAMS: &[&str] = &[
 /// transitions, steering cache), one tiny training run (nn fit
 /// counters), one replay forward pass, and a scenario-catalogue build.
 pub fn smoke_workload() {
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     let _ = m2ai_motion::activity::catalog(2);
 
     let layout = FrameLayout::new(1, 4, FeatureMode::Joint);

@@ -1,21 +1,20 @@
 //! Int8 quantized-inference accuracy gate (tiled-GEMM PR).
 //!
 //! Trains the full M²AI pipeline once in f32, calibrates and freezes
-//! the per-channel int8 weights (`Backend::QuantI8`), then scores the
-//! frozen model on an *unseen* golden evaluation dataset under both
-//! backends. The headline number is the top-1 accuracy delta between
+//! the per-channel int8 weights (`prepare_quantized`), then scores the
+//! frozen model on an *unseen* golden evaluation dataset before and
+//! after. The headline number is the top-1 accuracy delta between
 //! f32 and int8 inference — the PR promises it stays within one
 //! percentage point.
 //!
 //! Everything is seed-driven and deterministic — dataset generation,
-//! training (bitwise under the fast backend), calibration and the int8
+//! training (bitwise on the fast backend), calibration and the int8
 //! arithmetic itself — so the emitted `BENCH_quant.json` doubles as an
 //! exact CI baseline: [`check`] re-measures and compares the parsed
 //! values for equality, then enforces the 1 pp delta gate on the fresh
 //! measurement.
 
 use m2ai_core::dataset::generate_dataset;
-use m2ai_kernels::{self as kernels, Backend};
 
 use crate::throughput::{json_f64, parse_metric};
 use crate::{base_config, base_options, header, Budget};
@@ -34,7 +33,7 @@ const CALIB_SAMPLES: usize = 32;
 pub struct QuantReport {
     /// Top-1 accuracy of the frozen f32 model on the golden eval set.
     pub f32_top1: f64,
-    /// Top-1 accuracy of the same model under `Backend::QuantI8`.
+    /// Top-1 accuracy of the same model with int8 state prepared.
     pub quant_top1: f64,
     /// `(f32_top1 - quant_top1) * 100` — positive when int8 is worse.
     pub delta_pp: f64,
@@ -74,14 +73,13 @@ impl QuantReport {
     }
 }
 
-/// Trains, calibrates and scores both backends. Restores the fast
-/// backend before returning regardless of entry state.
+/// Trains, scores the f32 model, then calibrates and scores it again
+/// with int8 state prepared.
 pub fn run(budget: Budget) -> QuantReport {
     header(
         "Quant",
         "int8 inference accuracy vs f32, frozen clean-trained model",
     );
-    kernels::set_backend(Backend::Fast);
     let cfg = base_config(budget);
     let bundle = generate_dataset(&cfg);
     let outcome = crate::train_m2ai(&bundle, &base_options(budget));
@@ -99,7 +97,7 @@ pub fn run(budget: Budget) -> QuantReport {
     let f32_top1 = m2ai_nn::train::evaluate(&model, &golden.samples);
 
     // Calibrate activation ranges on training-distribution sequences,
-    // then freeze the int8 weights and score under QuantI8.
+    // then freeze the int8 weights and score the int8 model.
     model.prepare_quantized(
         bundle
             .samples
@@ -107,9 +105,7 @@ pub fn run(budget: Budget) -> QuantReport {
             .take(CALIB_SAMPLES)
             .map(|(frames, _)| frames.as_slice()),
     );
-    kernels::set_backend(Backend::QuantI8);
     let quant_top1 = m2ai_nn::train::evaluate(&model, &golden.samples);
-    kernels::set_backend(Backend::Fast);
 
     let report = QuantReport {
         f32_top1,

@@ -225,7 +225,6 @@ pub fn run() -> ServeReport {
         "Serve",
         "multi-session streaming: replay vs incremental vs micro-batched",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     let w = workload();
 
     // Replay baseline: per-session sliding window, full forward pass

@@ -451,7 +451,6 @@ pub fn run() -> ShardReport {
         "Shard",
         "sharded serve fabric: Zipf-skewed scaling + overload tail",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     let w = workload();
     let mut rates = [0.0f64; SHARD_COUNTS.len()];
     for (i, &shards) in SHARD_COUNTS.iter().enumerate() {

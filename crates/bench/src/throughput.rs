@@ -25,7 +25,7 @@
 use m2ai_core::calibration::PhaseCalibrator;
 use m2ai_core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai_core::network::{build_model, Architecture};
-use m2ai_kernels::{self as kernels, Backend};
+use m2ai_kernels::{Backend, KernelScratch};
 use m2ai_nn::layers::Dense;
 use m2ai_nn::model::SequenceClassifier;
 use m2ai_nn::Parameterized;
@@ -244,24 +244,24 @@ fn available_cores() -> f64 {
 }
 
 /// Rows/sec through one batched dense training step (forward +
-/// backward over [`BATCH_ROWS`] rows) under the currently active
-/// kernel backend. Every GEMM in the step is large enough to cross
-/// the tiled path's worthwhile threshold, so this is the workload the
-/// parallel gate compares across backends.
-fn batch_train_rate(iters: usize) -> f64 {
+/// backward over [`BATCH_ROWS`] rows) on `backend`. Every GEMM in the
+/// step is large enough to cross the tiled path's worthwhile
+/// threshold, so this is the workload the parallel gate compares
+/// across backends.
+fn batch_train_rate(iters: usize, backend: Backend) -> f64 {
     let mut layer = Dense::new(BATCH_DIM, BATCH_DIM, 17);
     let xs: Vec<f32> = (0..BATCH_ROWS * BATCH_DIM)
         .map(|i| ((i.wrapping_mul(2654435761)) & 0xffff) as f32 / 65536.0 - 0.5)
         .collect();
+    let mut scratch = KernelScratch::with_backend(backend);
     rate(iters, BATCH_ROWS, || {
-        let ys = layer.forward_batch(&xs, BATCH_ROWS);
-        std::hint::black_box(layer.backward_batch(&xs, &ys, BATCH_ROWS));
+        let ys = layer.forward_batch_with(&xs, BATCH_ROWS, &mut scratch);
+        std::hint::black_box(layer.backward_batch_with(&xs, &ys, BATCH_ROWS, &mut scratch));
         layer.visit_params(&mut |_, g| g.fill(0.0));
     })
 }
 
-/// Measures the report on the current machine. Restores the fast
-/// backend before returning regardless of entry state.
+/// Measures the report on the current machine.
 pub fn run() -> ThroughputReport {
     header(
         "Throughput",
@@ -269,28 +269,24 @@ pub fn run() -> ThroughputReport {
     );
     let w = workload();
 
-    kernels::set_backend(Backend::Fast);
     let frames_per_sec_extract = rate(6, FRAMES_PER_SAMPLE, || {
         std::hint::black_box(w.builder.build_sample(&w.readings, 0.0, FRAMES_PER_SAMPLE));
     });
     let predictions_per_sec_online = rate(60, 1, || {
         std::hint::black_box(w.model.predict(&w.frames));
     });
-    let train = |iters: usize| {
+    let train = |iters: usize, backend: Backend| {
         let mut m = w.model.clone();
+        let mut scratch = KernelScratch::with_backend(backend);
         rate(iters, 1, || {
             m.zero_grad();
-            std::hint::black_box(m.loss_and_backprop(&w.frames, 3));
+            std::hint::black_box(m.loss_and_backprop_with(&w.frames, 3, &mut scratch));
         })
     };
-    let samples_per_sec_train_fast = train(24);
-    kernels::set_backend(Backend::Reference);
-    let samples_per_sec_train_reference = train(8);
-    kernels::set_backend(Backend::Fast);
-    let rows_per_sec_batch_train_fast = batch_train_rate(8);
-    kernels::set_backend(Backend::FastParallel);
-    let rows_per_sec_batch_train_parallel = batch_train_rate(8);
-    kernels::set_backend(Backend::Fast);
+    let samples_per_sec_train_fast = train(24, Backend::Fast);
+    let samples_per_sec_train_reference = train(8, Backend::Reference);
+    let rows_per_sec_batch_train_fast = batch_train_rate(8, Backend::Fast);
+    let rows_per_sec_batch_train_parallel = batch_train_rate(8, Backend::FastParallel);
 
     let report = ThroughputReport {
         frames_per_sec_extract,

@@ -506,7 +506,6 @@ pub fn check() -> bool {
         "Trace",
         "tracing contracts: span trees under chaos, attribution, postmortems, overhead",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     quiet_shard_panics();
     let w = workload();
     let mut failures = Vec::new();

@@ -148,14 +148,15 @@ pub struct ServeConfig {
     pub history_len: usize,
     /// Health thresholds applied per session.
     pub health: HealthConfig,
-    /// Kernel backend to activate when the engine is constructed.
+    /// Kernel backend of this engine's model passes (default
+    /// [`m2ai_kernels::Backend::Fast`]).
     ///
-    /// `None` (the default) inherits whatever process-wide backend is
-    /// already active, so existing callers are unaffected. `Some(b)`
-    /// switches the process backend on construction — for
-    /// [`m2ai_kernels::Backend::QuantI8`] the model must already have
-    /// been prepared via `SequenceClassifier::prepare_quantized`.
-    pub backend: Option<m2ai_kernels::Backend>,
+    /// It seeds the engine's own [`KernelScratch`], so engines (and
+    /// fabric shards) with different backends run side by side in one
+    /// process without affecting each other. Int8 inference is chosen
+    /// by the model, not here: a model prepared with
+    /// `SequenceClassifier::prepare_quantized` runs int8 on any backend.
+    pub backend: m2ai_kernels::Backend,
     /// Streaming incremental extraction for the raw-readings path.
     ///
     /// `None` (the default) keeps the bit-exact batch `FrameBuilder`
@@ -176,7 +177,7 @@ impl Default for ServeConfig {
             queue_capacity: 32,
             history_len: 12,
             health: HealthConfig::default(),
-            backend: None,
+            backend: m2ai_kernels::Backend::Fast,
             streaming: None,
         }
     }
@@ -329,10 +330,8 @@ impl ServeEngine {
         assert!(cfg.max_sessions > 0, "need at least one session slot");
         assert!(cfg.max_batch > 0, "micro-batch window must be positive");
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
-        if let Some(b) = cfg.backend {
-            m2ai_kernels::set_backend(b);
-        }
         let slots = (0..cfg.max_sessions).map(|_| None).collect();
+        let scratch = KernelScratch::with_backend(cfg.backend);
         ServeEngine {
             model,
             builder,
@@ -340,7 +339,7 @@ impl ServeEngine {
             slots,
             next_id: 0,
             cursor: 0,
-            scratch: KernelScratch::new(),
+            scratch,
             events: Vec::new(),
             suppressed: 0,
             shed: 0,

@@ -660,7 +660,7 @@ fn packed_steering(config: &MusicConfig) -> Arc<Vec<f32>> {
 ///
 /// Operand and output buffers come from `scratch` ([`KernelScratch`]
 /// hands out zeroed buffers, which `gemm_nn`'s accumulate-into-C
-/// contract requires).
+/// contract requires), and the GEMM runs on its backend.
 ///
 /// # Errors
 ///
@@ -731,7 +731,7 @@ pub fn pseudospectrum_power_gemm_into(
         }
     }
     let mut g = scratch.take(rows * n_angles);
-    m2ai_kernels::gemm_nn(rows, n_angles, k, &a, &steering, &mut g);
+    m2ai_kernels::gemm_nn(scratch.backend(), rows, n_angles, k, &a, &steering, &mut g);
 
     // ‖column‖² over all 2c rows covers Re² + Im² in one pass.
     power.clear();
@@ -1036,13 +1036,17 @@ mod tests {
     /// generous slack over that.
     const GEMM_SCAN_REL_TOL: f64 = 1e-3;
 
-    fn assert_gemm_scan_matches(snaps: &[Vec<Complex>], cfg: &MusicConfig) {
+    fn assert_gemm_scan_matches(
+        snaps: &[Vec<Complex>],
+        cfg: &MusicConfig,
+        backend: m2ai_kernels::Backend,
+    ) {
         let r = match cfg.smoothing_subarray {
             Some(l) => spatially_smoothed_correlation(snaps, l).unwrap(),
             None => correlation_matrix(snaps).unwrap(),
         };
         let exact = pseudospectrum_from_correlation(&r, snaps.len(), cfg).unwrap();
-        let mut scratch = m2ai_kernels::KernelScratch::new();
+        let mut scratch = m2ai_kernels::KernelScratch::with_backend(backend);
         let fast =
             pseudospectrum_from_correlation_gemm(&r, snaps.len(), cfg, &mut scratch).unwrap();
         assert_eq!(fast.source_count, exact.source_count, "same f64 prefix");
@@ -1072,18 +1076,15 @@ mod tests {
                 ..test_config(6)
             },
         ];
-        let initial = m2ai_kernels::backend();
         for backend in [
             m2ai_kernels::Backend::Reference,
             m2ai_kernels::Backend::Fast,
         ] {
-            m2ai_kernels::set_backend(backend);
             for cfg in &configs {
                 let snaps = synth_snapshots(cfg, &[55.0, 120.0], 48, 0.05);
-                assert_gemm_scan_matches(&snaps, cfg);
+                assert_gemm_scan_matches(&snaps, cfg, backend);
             }
         }
-        m2ai_kernels::set_backend(initial);
     }
 
     #[test]

@@ -26,27 +26,29 @@
 //! fast result is the *more* accurate one. `tests/kernel_equivalence.rs`
 //! (repo root) property-tests this envelope across random shapes.
 //!
-//! ## Backend switch
+//! ## Backend choice
 //!
 //! Callers go through the top-level dispatchers ([`gemm_nn`] & co.),
-//! which consult a process-wide [`Backend`] flag (default
-//! [`Backend::Fast`]). The flag exists so benchmarks can measure the
-//! genuine before/after gap through otherwise identical code paths —
-//! it is a measurement tool, not a tuning knob.
+//! which take the [`Backend`] as their first argument. There is no
+//! process-wide setting: the NN layers pass the backend of the
+//! [`KernelScratch`] they are handed, so two engines (or a benchmark
+//! and its reference run) can use different backends side by side in
+//! one process. Int8 inference is not a backend — a layer with frozen
+//! [`quant`] state runs its int8 kernels whatever backend it is given.
 //!
 //! ## Scratch arenas
 //!
-//! [`KernelScratch`] is a trivially simple buffer pool: `take` a zeroed
-//! `Vec<f32>`, `recycle` it when done. Threaded through the NN layers
-//! it removes every steady-state im2col / gate / packing allocation.
-//! [`with_thread_scratch`] offers a thread-local fallback for legacy
-//! entry points that predate the explicit-scratch signatures.
+//! [`KernelScratch`] is the per-call kernel context: a trivially simple
+//! buffer pool (`take` a zeroed `Vec<f32>`, `recycle` it when done)
+//! plus its backend (default [`Backend::Fast`]). Threaded through the
+//! NN layers it removes every steady-state im2col / gate / packing
+//! allocation. [`with_thread_scratch`] offers a thread-local `Fast`
+//! fallback for entry points without an explicit-scratch signature.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod fast;
 pub mod im2col;
@@ -55,90 +57,27 @@ pub mod reference;
 pub mod tiled;
 
 /// Which kernel implementation the top-level dispatchers use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// A value, not a process setting: each [`KernelScratch`] carries one,
+/// and every dispatcher takes it as its first argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Naive scalar loops — the seed repository's original arithmetic.
     Reference,
     /// Register-blocked `mul_add` microkernels (the default).
+    #[default]
     Fast,
     /// The [`fast`] microkernels wrapped in cache-blocked macro-tiling
     /// with a thread-budgeted parallel M-tile loop ([`tiled`]).
     /// Bit-identical to [`Backend::Fast`] for every shape and thread
     /// count; small shapes fall through to `fast` untouched.
     FastParallel,
-    /// Int8 quantized inference: layers with prepared [`quant`] state
-    /// run i8×i8→i32 matmuls with an f32 dequant epilogue. All
-    /// remaining f32 dispatches (training, unprepared layers, gate
-    /// math) behave exactly like [`Backend::Fast`].
-    QuantI8,
 }
 
-static BACKEND: AtomicU8 = AtomicU8::new(1);
-
-/// Returns the currently selected [`Backend`].
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        0 => Backend::Reference,
-        2 => Backend::FastParallel,
-        3 => Backend::QuantI8,
-        _ => Backend::Fast,
-    }
-}
-
-/// Selects the process-wide [`Backend`].
-///
-/// Global rather than thread-local because `fit()` fans training out
-/// over scoped worker threads that must all honour the choice. Tests
-/// that flip this around measurements must serialise themselves.
-pub fn set_backend(b: Backend) {
-    let v = match b {
-        Backend::Reference => 0,
-        Backend::Fast => 1,
-        Backend::FastParallel => 2,
-        Backend::QuantI8 => 3,
-    };
-    BACKEND.store(v, Ordering::Relaxed);
-    obs_metrics::record_backend(b);
-}
-
-/// Backend-selection and GEMM-timing metrics.
+/// GEMM-timing metrics.
 mod obs_metrics {
-    use super::Backend;
     use std::sync::OnceLock;
     use std::time::Instant;
-
-    fn gauges() -> &'static [m2ai_obs::Gauge; 4] {
-        static G: OnceLock<[m2ai_obs::Gauge; 4]> = OnceLock::new();
-        G.get_or_init(|| {
-            let help = "1 when this kernel backend is the active dispatcher target";
-            [
-                m2ai_obs::gauge(
-                    "m2ai_kernels_backend_active",
-                    help,
-                    &[("backend", "reference")],
-                ),
-                m2ai_obs::gauge("m2ai_kernels_backend_active", help, &[("backend", "fast")]),
-                m2ai_obs::gauge(
-                    "m2ai_kernels_backend_active",
-                    help,
-                    &[("backend", "fast_parallel")],
-                ),
-                m2ai_obs::gauge(
-                    "m2ai_kernels_backend_active",
-                    help,
-                    &[("backend", "quant_i8")],
-                ),
-            ]
-        })
-    }
-
-    pub(super) fn record_backend(b: Backend) {
-        let [reference, fast, fast_parallel, quant] = gauges();
-        reference.set((b == Backend::Reference) as i64);
-        fast.set((b == Backend::Fast) as i64);
-        fast_parallel.set((b == Backend::FastParallel) as i64);
-        quant.set((b == Backend::QuantI8) as i64);
-    }
 
     static GEMM_SECONDS: m2ai_obs::HistogramFamily = m2ai_obs::HistogramFamily::new(
         "m2ai_kernels_gemm_seconds",
@@ -191,13 +130,21 @@ mod obs_metrics {
 /// backend), but the matrix-vector blocking suits the skinny shape, so
 /// batch-size-1 steps through the batched serving API pay no GEMM
 /// overhead.
-pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+pub fn gemm_nn(
+    backend: Backend,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     if m == 1 {
         // C[0,j] += Σ_p a[p]·b[p·n+j] is exactly y += Bᵀ·a.
-        return gemv_t(k, n, b, a, c);
+        return gemv_t(backend, k, n, b, a, c);
     }
-    obs_metrics::time_gemm(m, n, k, || match backend() {
-        Backend::Fast | Backend::QuantI8 => fast::gemm_nn(m, n, k, a, b, c),
+    obs_metrics::time_gemm(m, n, k, || match backend {
+        Backend::Fast => fast::gemm_nn(m, n, k, a, b, c),
         Backend::FastParallel => tiled::gemm_nn(m, n, k, a, b, c),
         Backend::Reference => reference::gemm_nn(m, n, k, a, b, c),
     })
@@ -209,44 +156,62 @@ pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
 /// (identical per-output accumulation chains) but without the blocked
 /// GEMM's row machinery, so single-session steps through the batched
 /// serving API keep gemv latency.
-pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+pub fn gemm_nt(
+    backend: Backend,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     if m == 1 {
         // C[0,j] += Σ_p a[p]·b[j·k+p] is exactly y += B·a.
-        return gemv(n, k, b, a, c);
+        return gemv(backend, n, k, b, a, c);
     }
-    obs_metrics::time_gemm(m, n, k, || match backend() {
-        Backend::Fast | Backend::QuantI8 => fast::gemm_nt(m, n, k, a, b, c),
+    obs_metrics::time_gemm(m, n, k, || match backend {
+        Backend::Fast => fast::gemm_nt(m, n, k, a, b, c),
         Backend::FastParallel => tiled::gemm_nt(m, n, k, a, b, c),
         Backend::Reference => reference::gemm_nt(m, n, k, a, b, c),
     })
 }
 
 /// C\[m×n\] += Aᵀ · B where A is \[k×m\] and B is \[k×n\], row-major.
-pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    obs_metrics::time_gemm(m, n, k, || match backend() {
-        Backend::Fast | Backend::QuantI8 => fast::gemm_tn(m, n, k, a, b, c),
+pub fn gemm_tn(
+    backend: Backend,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    obs_metrics::time_gemm(m, n, k, || match backend {
+        Backend::Fast => fast::gemm_tn(m, n, k, a, b, c),
         Backend::FastParallel => tiled::gemm_tn(m, n, k, a, b, c),
         Backend::Reference => reference::gemm_tn(m, n, k, a, b, c),
     })
 }
 
 /// y\[m\] += A\[m×k\] · x\[k\] (row-major A).
-pub fn gemv(m: usize, k: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
-    match backend() {
+pub fn gemv(backend: Backend, m: usize, k: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
+    match backend {
         Backend::Reference => reference::gemv(m, k, a, x, y),
         _ => fast::gemv(m, k, a, x, y),
     }
 }
 
 /// y\[n\] += Aᵀ · x, i.e. `y[j] += Σ_r x[r] * a[r*n + j]` for A \[r×n\].
-pub fn gemv_t(r: usize, n: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
-    match backend() {
+pub fn gemv_t(backend: Backend, r: usize, n: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
+    match backend {
         Backend::Reference => reference::gemv_t(r, n, a, x, y),
         _ => fast::gemv_t(r, n, a, x, y),
     }
 }
 
-/// A tiny LIFO pool of reusable `f32` buffers.
+/// The per-call kernel context: a tiny LIFO pool of reusable `f32`
+/// buffers plus the [`Backend`] every pass it is threaded through
+/// dispatches on.
 ///
 /// `take` hands out a zeroed buffer of the requested length (reusing a
 /// previously recycled allocation when one exists); `recycle` returns
@@ -255,12 +220,26 @@ pub fn gemv_t(r: usize, n: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
 #[derive(Debug, Default)]
 pub struct KernelScratch {
     pool: Vec<Vec<f32>>,
+    backend: Backend,
 }
 
 impl KernelScratch {
-    /// Creates an empty pool.
+    /// Creates an empty pool on [`Backend::Fast`].
     pub fn new() -> Self {
-        KernelScratch { pool: Vec::new() }
+        KernelScratch::default()
+    }
+
+    /// Creates an empty pool whose passes dispatch on `backend`.
+    pub fn with_backend(backend: Backend) -> Self {
+        KernelScratch {
+            pool: Vec::new(),
+            backend,
+        }
+    }
+
+    /// The backend this context dispatches on.
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
     /// Returns a zeroed buffer of length `len`.
@@ -289,7 +268,8 @@ thread_local! {
     static THREAD_SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::new());
 }
 
-/// Runs `f` with this thread's shared [`KernelScratch`].
+/// Runs `f` with this thread's shared [`KernelScratch`], which always
+/// dispatches on [`Backend::Fast`].
 ///
 /// Legacy entry points that predate the explicit `_with` signatures
 /// route through here so they still allocate nothing in steady state.
@@ -308,7 +288,12 @@ mod tests {
 
     #[test]
     fn default_backend_is_fast() {
-        assert_eq!(backend(), Backend::Fast);
+        assert_eq!(KernelScratch::new().backend(), Backend::Fast);
+        assert_eq!(
+            KernelScratch::with_backend(Backend::Reference).backend(),
+            Backend::Reference
+        );
+        with_thread_scratch(|s| assert_eq!(s.backend(), Backend::Fast));
     }
 
     #[test]
@@ -378,7 +363,7 @@ mod tests {
             .map(|i| ((i * 17) as f32 * 0.007).cos())
             .collect();
         let mut via_dispatch = vec![0.25f32; n];
-        gemm_nt(1, n, k, &a, &b, &mut via_dispatch);
+        gemm_nt(Backend::Fast, 1, n, k, &a, &b, &mut via_dispatch);
         let mut via_packed = vec![0.25f32; 2 * n];
         fast::gemm_nt(2, n, k, &a.repeat(2), &b, &mut via_packed);
         assert_eq!(via_dispatch, via_packed[..n]);
@@ -394,7 +379,7 @@ mod tests {
             .map(|i| ((i * 13) as f32 * 0.009).cos())
             .collect();
         let mut via_dispatch = vec![-0.5f32; n];
-        gemm_nn(1, n, k, &a, &b, &mut via_dispatch);
+        gemm_nn(Backend::Fast, 1, n, k, &a, &b, &mut via_dispatch);
         let mut via_blocked = vec![-0.5f32; n];
         fast::gemm_nn(1, n, k, &a, &b, &mut via_blocked);
         assert_eq!(via_dispatch, via_blocked);

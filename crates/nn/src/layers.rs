@@ -26,13 +26,15 @@
 //!
 //! The arithmetic lives in [`m2ai_kernels`]: `Dense` is a GEMV/GEMM,
 //! `Conv1d` is lowered through im2col onto the same GEMM, and both
-//! dispatch on the process-wide [`m2ai_kernels::Backend`] (fast
-//! blocked kernels by default, the seed's naive loops under
-//! `Backend::Reference`, where `Conv1d` walks each row's windows).
-//! Every layer also offers `*_with` variants taking a [`KernelScratch`]
-//! so hot callers (`fit()`, the online pipeline) reuse im2col/packing
-//! buffers instead of allocating per call; the plain signatures
-//! delegate to a thread-local scratch.
+//! dispatch on the [`m2ai_kernels::Backend`] of the [`KernelScratch`]
+//! they are handed (fast blocked kernels by default, the seed's naive
+//! loops under `Backend::Reference`, where `Conv1d` walks each row's
+//! windows). A layer with frozen int8 state runs its int8 kernels on
+//! any backend. Every layer offers `*_with` variants taking the
+//! scratch, so hot callers (`fit()`, the serving engine) choose the
+//! backend and reuse im2col/packing buffers instead of allocating per
+//! call; the plain signatures delegate to the thread-local `Fast`
+//! scratch.
 
 use crate::init::he_uniform;
 use crate::Parameterized;
@@ -43,7 +45,7 @@ use m2ai_kernels::{self as kernels, quant, Backend, KernelScratch};
 /// quantized weights plus the calibrated per-tensor input scale.
 ///
 /// Built by the layer's `freeze_quant` after a calibration pass;
-/// consulted by the forward paths only under [`Backend::QuantI8`].
+/// while present, the forward paths run int8 on every backend.
 /// Training never reads or updates it — after any weight update the
 /// owner must re-run calibration/freeze for the state to be
 /// meaningful.
@@ -160,19 +162,13 @@ impl Dense {
 
     /// Forward pass over `rows` stacked inputs (`[rows × in_dim]`,
     /// row-major), producing `[rows × out_dim]` — one GEMM for the
-    /// whole batch.
+    /// whole batch. A one-row batch dispatches to the GEMV microkernel
+    /// (bit-exact), so single-session steps through the batched serving
+    /// API keep matrix-vector latency.
     ///
     /// # Panics
     ///
     /// Panics if `xs.len() != rows * in_dim`.
-    pub fn forward_batch(&self, xs: &[f32], rows: usize) -> Vec<f32> {
-        kernels::with_thread_scratch(|s| self.forward_batch_with(xs, rows, s))
-    }
-
-    /// [`Dense::forward_batch`] reusing buffers from `scratch`. A
-    /// one-row batch dispatches to the GEMV microkernel (bit-exact),
-    /// so single-session steps through the batched serving API keep
-    /// matrix-vector latency.
     pub fn forward_batch_with(
         &self,
         xs: &[f32],
@@ -185,13 +181,12 @@ impl Dense {
             "Dense batch input size mismatch"
         );
         let mut ys = scratch.take(rows * self.out_dim);
-        if kernels::backend() == Backend::QuantI8 {
-            if let Some(q) = &self.quant {
-                self.forward_quant(q, xs, rows, &mut ys);
-                return ys;
-            }
+        if let Some(q) = &self.quant {
+            self.forward_quant(q, xs, rows, &mut ys);
+            return ys;
         }
-        kernels::gemm_nt(rows, self.out_dim, self.in_dim, xs, &self.w, &mut ys);
+        let (n_out, n_in) = (self.out_dim, self.in_dim);
+        kernels::gemm_nt(scratch.backend(), rows, n_out, n_in, xs, &self.w, &mut ys);
         for row in ys.chunks_exact_mut(self.out_dim) {
             for (yo, bo) in row.iter_mut().zip(&self.b) {
                 *yo += bo;
@@ -201,9 +196,9 @@ impl Dense {
     }
 
     /// Backward pass: accumulates gradients, returns `∂L/∂x`; the
-    /// one-row case of [`Dense::backward_batch`].
+    /// one-row case of [`Dense::backward_batch_with`].
     pub fn backward(&mut self, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
-        self.backward_batch(x, grad_out, 1)
+        kernels::with_thread_scratch(|s| self.backward_batch_with(x, grad_out, 1, s))
     }
 
     /// Batched backward over `rows` stacked `(x, grad_out)` pairs:
@@ -215,7 +210,13 @@ impl Dense {
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn backward_batch(&mut self, xs: &[f32], grads: &[f32], rows: usize) -> Vec<f32> {
+    pub fn backward_batch_with(
+        &mut self,
+        xs: &[f32],
+        grads: &[f32],
+        rows: usize,
+        scratch: &mut KernelScratch,
+    ) -> Vec<f32> {
         assert_eq!(xs.len(), rows * self.in_dim, "Dense batch input mismatch");
         assert_eq!(
             grads.len(),
@@ -227,9 +228,10 @@ impl Dense {
                 self.gb[o] += g;
             }
         }
-        kernels::gemm_tn(self.out_dim, self.in_dim, rows, grads, xs, &mut self.gw);
-        let mut gxs = vec![0.0; rows * self.in_dim];
-        kernels::gemm_nn(rows, self.in_dim, self.out_dim, grads, &self.w, &mut gxs);
+        let (backend, n_out, n_in) = (scratch.backend(), self.out_dim, self.in_dim);
+        kernels::gemm_tn(backend, n_out, n_in, rows, grads, xs, &mut self.gw);
+        let mut gxs = vec![0.0; rows * n_in];
+        kernels::gemm_nn(backend, rows, n_in, n_out, grads, &self.w, &mut gxs);
         gxs
     }
 }
@@ -367,9 +369,9 @@ impl Conv1d {
     /// columns `r·len_out..`), so the whole batch is one
     /// `[c_out × c_in·kernel]` GEMM seeded with the bias. Each output
     /// keeps the `(ci, k)` accumulation order of the naive loop, which
-    /// `Backend::Reference` still runs row by row; under
-    /// `Backend::QuantI8` the shared columns are quantized once with
-    /// the layer's per-tensor scale. Either way a batch is
+    /// `Backend::Reference` still runs row by row; with frozen int8
+    /// state (on any backend) the shared columns are quantized once
+    /// with the layer's per-tensor scale. Either way a batch is
     /// bit-identical to its rows run one at a time.
     ///
     /// # Panics
@@ -384,8 +386,7 @@ impl Conv1d {
         let in_dim = self.in_dim();
         let out_dim = self.out_dim();
         assert_eq!(xs.len(), rows * in_dim, "Conv1d input size mismatch");
-        let backend = kernels::backend();
-        if backend == Backend::Reference {
+        if self.quant.is_none() && scratch.backend() == Backend::Reference {
             let mut ys = scratch.take(rows * out_dim);
             for (x, y) in xs.chunks_exact(in_dim).zip(ys.chunks_exact_mut(out_dim)) {
                 self.forward_reference(x, y);
@@ -408,7 +409,7 @@ impl Conv1d {
         // Channel-major over the whole batch: `[c_out × rows·len_out]`.
         let mut yc = scratch.take(self.c_out * n);
         match &self.quant {
-            Some(q) if backend == Backend::QuantI8 => {
+            Some(q) => {
                 // Quantize the im2col activations once; the filters are
                 // already int8. Integer accumulation, one f32 epilogue.
                 let mut ci8 = Vec::new();
@@ -425,11 +426,11 @@ impl Conv1d {
                     &mut yc,
                 );
             }
-            _ => {
+            None => {
                 for (o, row) in yc.chunks_exact_mut(n).enumerate() {
                     row.fill(self.b[o]);
                 }
-                kernels::gemm_nn(self.c_out, n, r, &self.w, &cols, &mut yc);
+                kernels::gemm_nn(scratch.backend(), self.c_out, n, r, &self.w, &cols, &mut yc);
             }
         }
         scratch.recycle(cols);
@@ -516,7 +517,8 @@ impl Conv1d {
         assert_eq!(xs.len(), rows * in_dim, "Conv1d input size mismatch");
         assert_eq!(grads.len(), rows * out_dim, "Conv1d gradient size mismatch");
         let mut gx = vec![0.0; rows * in_dim];
-        if kernels::backend() == Backend::Reference {
+        let backend = scratch.backend();
+        if backend == Backend::Reference {
             for ((x, g), gx) in xs
                 .chunks_exact(in_dim)
                 .zip(grads.chunks_exact(out_dim))
@@ -560,9 +562,9 @@ impl Conv1d {
             }
             self.gb[o] = s;
         }
-        kernels::gemm_nt(self.c_out, r, n, gc, &cols, &mut self.gw);
+        kernels::gemm_nt(backend, self.c_out, r, n, gc, &cols, &mut self.gw);
         let mut gcols = scratch.take(r * n);
-        kernels::gemm_tn(r, n, self.c_out, &self.w, gc, &mut gcols);
+        kernels::gemm_tn(backend, r, n, self.c_out, &self.w, gc, &mut gcols);
         col2im_accumulate(
             &gcols,
             rows,
@@ -710,7 +712,7 @@ impl Layer {
         scratch: &mut KernelScratch,
     ) -> Vec<f32> {
         match self {
-            Layer::Dense(d) => d.backward_batch(xs, grads, rows),
+            Layer::Dense(d) => d.backward_batch_with(xs, grads, rows, scratch),
             Layer::Conv1d(c) => c.backward_batch_with(xs, grads, rows, scratch),
             Layer::Relu => {
                 let mut gx = scratch.take(xs.len());
@@ -862,9 +864,9 @@ impl Sequential {
     }
 
     /// Forward pass that feeds each layer's int8 calibration
-    /// statistics as the activations flow through. Must run under an
-    /// f32 backend (quant state is absent until `freeze_quant`, so the
-    /// arithmetic is the plain forward either way).
+    /// statistics as the activations flow through. Must run before
+    /// `freeze_quant` (or after `clear_quant`), so the arithmetic is the
+    /// plain f32 forward.
     pub fn calibrate_forward_with(&mut self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
         let mut cur = scratch.take(x.len());
         cur.copy_from_slice(x);

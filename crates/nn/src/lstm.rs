@@ -8,9 +8,11 @@
 
 //! ## Kernel backends
 //!
-//! The gate matmuls dispatch on the process-wide
-//! [`m2ai_kernels::Backend`]. The fast path batches `W·x_t` for the
-//! whole sequence into one `[T × 4H]` GEMM, runs each step's
+//! The gate matmuls dispatch on the [`m2ai_kernels::Backend`] of the
+//! [`KernelScratch`] each pass is handed, and run int8 on any backend
+//! once `freeze_quant` has frozen quantized weights. The fast path
+//! batches `W·x_t` for the whole sequence into one `[T × 4H]` GEMM,
+//! runs each step's
 //! recurrent `U·h_{t-1}` as a fused `[4H × H]` GEMV continuing the
 //! same accumulator, and folds BPTT's weight-gradient outer products
 //! into two `[4H × T]·[T × dim]` GEMMs after the time loop —
@@ -176,13 +178,12 @@ impl Lstm {
     /// exactly the reference chaining (inputs before recurrence,
     /// bias outermost).
     pub fn forward_sequence_with(&self, xs: &[Vec<f32>], scratch: &mut KernelScratch) -> LstmCache {
-        if kernels::backend() == Backend::Reference || xs.is_empty() {
-            return self.forward_sequence_reference(xs);
+        if let Some(q) = &self.quant {
+            return self.forward_sequence_quant(q, xs, scratch);
         }
-        if kernels::backend() == Backend::QuantI8 {
-            if let Some(q) = &self.quant {
-                return self.forward_sequence_quant(q, xs, scratch);
-            }
+        let backend = scratch.backend();
+        if backend == Backend::Reference || xs.is_empty() {
+            return self.forward_sequence_reference(xs);
         }
         let h = self.hidden;
         let t_len = xs.len();
@@ -192,7 +193,7 @@ impl Lstm {
             xflat[t * self.in_dim..(t + 1) * self.in_dim].copy_from_slice(x);
         }
         let mut zw = scratch.take(t_len * 4 * h);
-        kernels::gemm_nt(t_len, 4 * h, self.in_dim, &xflat, &self.w, &mut zw);
+        kernels::gemm_nt(backend, t_len, 4 * h, self.in_dim, &xflat, &self.w, &mut zw);
         let mut zbuf = scratch.take(4 * h);
         let mut h_prev = vec![0.0; h];
         let mut c_prev = vec![0.0; h];
@@ -200,7 +201,7 @@ impl Lstm {
         let mut outputs = Vec::with_capacity(t_len);
         for (t, x) in xs.iter().enumerate() {
             zbuf.copy_from_slice(&zw[t * 4 * h..(t + 1) * 4 * h]);
-            kernels::gemv(4 * h, h, &self.u, &h_prev, &mut zbuf);
+            kernels::gemv(backend, 4 * h, h, &self.u, &h_prev, &mut zbuf);
             let mut i = vec![0.0; h];
             let mut f = vec![0.0; h];
             let mut g = vec![0.0; h];
@@ -241,7 +242,7 @@ impl Lstm {
     /// recurrent i8 GEMV, and combines both integer accumulators in a
     /// single f32 dequant before the gate math. Identical arithmetic
     /// to [`Lstm::step_batch_with`]'s quant branch, so streaming and
-    /// replay agree bit-for-bit under [`Backend::QuantI8`] too.
+    /// replay agree bit-for-bit on a quantized layer too.
     fn forward_sequence_quant(
         &self,
         q: &QuantLstm,
@@ -389,13 +390,11 @@ impl Lstm {
         assert_eq!(h.len(), batch * hd, "LSTM step hidden-state mismatch");
         assert_eq!(c.len(), batch * hd, "LSTM step cell-state mismatch");
         let mut z = scratch.take(batch * 4 * hd);
-        let quant_path = kernels::backend() == Backend::QuantI8 && self.quant.is_some();
-        if quant_path {
+        if let Some(q) = &self.quant {
             // Same arithmetic as `forward_sequence_quant`: integer
             // accumulators for W·x and U·h, combined in one f32
             // dequant — so a quantized stream matches a quantized
             // replay bit-for-bit.
-            let q = self.quant.as_ref().expect("checked above");
             let mut xi8 = Vec::new();
             quant::quantize_into(xs, q.x_scale, &mut xi8);
             let mut accx = vec![0i32; batch * 4 * hd];
@@ -412,8 +411,9 @@ impl Lstm {
                 }
             }
         } else {
-            kernels::gemm_nt(batch, 4 * hd, self.in_dim, xs, &self.w, &mut z);
-            kernels::gemm_nt(batch, 4 * hd, hd, h, &self.u, &mut z);
+            let backend = scratch.backend();
+            kernels::gemm_nt(backend, batch, 4 * hd, self.in_dim, xs, &self.w, &mut z);
+            kernels::gemm_nt(backend, batch, 4 * hd, hd, h, &self.u, &mut z);
         }
         for r in 0..batch {
             let zrow = &z[r * 4 * hd..(r + 1) * 4 * hd];
@@ -461,7 +461,8 @@ impl Lstm {
         let h = self.hidden;
         let t_len = cache.steps.len();
         assert_eq!(grad_outputs.len(), t_len, "grad/step count mismatch");
-        if kernels::backend() == Backend::Reference || t_len == 0 {
+        let backend = scratch.backend();
+        if backend == Backend::Reference || t_len == 0 {
             return self.backward_sequence_reference(cache, grad_outputs);
         }
         let mut grad_xs = vec![vec![0.0; self.in_dim]; t_len];
@@ -497,14 +498,15 @@ impl Lstm {
             for (gb, &zg) in self.gb.iter_mut().zip(zrow) {
                 *gb += zg;
             }
-            kernels::gemv_t(4 * h, self.in_dim, &self.w, zrow, &mut grad_xs[t]);
+            kernels::gemv_t(backend, 4 * h, self.in_dim, &self.w, zrow, &mut grad_xs[t]);
             dh_next.fill(0.0);
-            kernels::gemv_t(4 * h, h, &self.u, zrow, &mut dh_next);
+            kernels::gemv_t(backend, 4 * h, h, &self.u, zrow, &mut dh_next);
             xrev[srow * self.in_dim..(srow + 1) * self.in_dim].copy_from_slice(&s.x);
             hrev[srow * h..(srow + 1) * h].copy_from_slice(&s.h_prev);
         }
-        kernels::gemm_tn(4 * h, self.in_dim, t_len, &zrev, &xrev, &mut self.gw);
-        kernels::gemm_tn(4 * h, h, t_len, &zrev, &hrev, &mut self.gu);
+        let in_dim = self.in_dim;
+        kernels::gemm_tn(backend, 4 * h, in_dim, t_len, &zrev, &xrev, &mut self.gw);
+        kernels::gemm_tn(backend, 4 * h, h, t_len, &zrev, &hrev, &mut self.gu);
         scratch.recycle(dc_next);
         scratch.recycle(dh_next);
         scratch.recycle(hrev);
@@ -751,7 +753,8 @@ impl LstmStack {
     /// Forward over a sequence that also feeds each layer's int8
     /// calibration statistics (input-frame and hidden-state ranges).
     /// Returns the top layer's outputs so the caller can keep
-    /// calibrating downstream layers. Must run under an f32 backend.
+    /// calibrating downstream layers. Must run before `freeze_quant`
+    /// (or after `clear_quant`), so the forward is the f32 one.
     pub fn calibrate_sequence_with(
         &mut self,
         xs: &[Vec<f32>],

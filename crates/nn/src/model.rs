@@ -771,18 +771,19 @@ impl SequenceClassifier {
         }
     }
 
-    /// Prepares the model for [`m2ai_kernels::Backend::QuantI8`]
-    /// inference: clears any stale int8 state, runs the calibration
-    /// sequences through the f32 network to freeze per-tensor
-    /// activation scales, then quantizes every weight matrix
-    /// per-output-channel.
+    /// Prepares the model for int8 inference: clears any stale int8
+    /// state, runs the calibration sequences through the f32 network
+    /// (on the thread's `Fast` scratch) to freeze per-tensor activation
+    /// scales, then quantizes every weight matrix per-output-channel.
     ///
-    /// Robust under any active backend — calibration forwards run in
-    /// f32 because the int8 state is absent until the final freeze.
-    /// Quantized state is a pure inference sidecar: training updates
-    /// (and checkpoint loads) do not refresh it, so re-run this after
-    /// either. An empty calibration set degrades to unit activation
-    /// scales (weights still quantize from their own range).
+    /// This is the only switch: once prepared, every inference pass
+    /// runs the int8 kernels on whatever backend its scratch carries,
+    /// until [`SequenceClassifier::clear_quant`] restores bitwise f32.
+    /// Quantized state is a pure inference sidecar: a training pass
+    /// drops it (see [`SequenceClassifier::loss_and_backprop_with`]) and
+    /// checkpoint loads do not refresh it, so re-run this after either.
+    /// An empty calibration set degrades to unit activation scales
+    /// (weights still quantize from their own range).
     pub fn prepare_quantized<'a, I>(&mut self, calib: I)
     where
         I: IntoIterator<Item = &'a [Vec<f32>]>,
@@ -800,8 +801,7 @@ impl SequenceClassifier {
         self.head.freeze_quant();
     }
 
-    /// Drops all int8 state; the model serves pure f32 again under
-    /// every backend.
+    /// Drops all int8 state; the model serves pure f32 again.
     pub fn clear_quant(&mut self) {
         self.encoder.clear_quant();
         if let Some(stack) = &mut self.lstm {
@@ -832,6 +832,9 @@ impl SequenceClassifier {
     /// and head each run forward *and* backward once over the whole
     /// sequence, bit-identical to running them frame by frame.
     ///
+    /// Drops any int8 state first: the forward must be the f32 one the
+    /// gradients belong to, and the update makes the sidecar stale.
+    ///
     /// # Panics
     ///
     /// Panics if `frames` is empty or `label >= n_classes`.
@@ -843,6 +846,7 @@ impl SequenceClassifier {
     ) -> f32 {
         assert!(!frames.is_empty(), "need at least one frame");
         assert!(label < self.n_classes, "label out of range");
+        self.clear_quant();
 
         // Forward with caches: the encoder runs once over all T frames.
         let t_len = frames.len();
@@ -880,7 +884,9 @@ impl SequenceClassifier {
                 *slot = g * scale;
             }
         }
-        let rep_grads_flat = self.head.backward_batch(&reps_flat, &grads_flat, t_len);
+        let rep_grads_flat = self
+            .head
+            .backward_batch_with(&reps_flat, &grads_flat, t_len, scratch);
         scratch.recycle(grads_flat);
         scratch.recycle(logits_flat);
 
@@ -1267,19 +1273,6 @@ mod tests {
         );
     }
 
-    /// Restores [`kernels::Backend::Fast`] on drop so a panicking
-    /// assertion can't leave the process-wide backend flipped.
-    /// Flipping between `Fast` and `QuantI8` is safe around concurrent
-    /// tests: every f32 dispatch under `QuantI8` is arithmetic-
-    /// identical to `Fast`, and only quant-*prepared* models (local to
-    /// these tests) take the int8 paths.
-    struct RestoreFast;
-    impl Drop for RestoreFast {
-        fn drop(&mut self) {
-            kernels::set_backend(kernels::Backend::Fast);
-        }
-    }
-
     #[test]
     fn quantized_inference_tracks_f32() {
         let m = tiny_model(31);
@@ -1291,10 +1284,6 @@ mod tests {
         qm.prepare_quantized(std::iter::once(frames.as_slice()));
         assert!(qm.is_quantized());
 
-        let _guard = RestoreFast;
-        kernels::set_backend(kernels::Backend::QuantI8);
-        // Unprepared model under QuantI8 is bit-identical to Fast.
-        assert_eq!(m.predict_proba(&frames), f32_probs);
         // Prepared model runs int8 and must stay close in probability.
         let q_probs = qm.predict_proba(&frames);
         for (f, q) in f32_probs.iter().zip(&q_probs) {
@@ -1315,8 +1304,6 @@ mod tests {
         for (name, m) in variants(32) {
             let mut qm = m;
             qm.prepare_quantized(std::iter::once(frames.as_slice()));
-            let _guard = RestoreFast;
-            kernels::set_backend(kernels::Backend::QuantI8);
             let mut state = qm.stream_state(frames.len());
             let mut last = Vec::new();
             for f in &frames {
@@ -1327,7 +1314,6 @@ mod tests {
                 qm.predict_proba(&frames),
                 "{name}: quantized stream != quantized replay"
             );
-            kernels::set_backend(kernels::Backend::Fast);
         }
     }
 

@@ -23,24 +23,12 @@ use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai::core::network::{build_model, Architecture};
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::{ServeConfig, ServeEngine, ServeError, ServePrediction};
-use m2ai::kernels::{self, Backend};
+use m2ai::kernels::{Backend, KernelScratch};
 use m2ai::nn::model::{SequenceClassifier, StreamState};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 /// Sliding window length used throughout the suite.
 const HISTORY: usize = 3;
-
-/// Serialises tests that flip the process-global kernel backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the fast backend when a scope exits (even on panic).
-struct RestoreBackend;
-impl Drop for RestoreBackend {
-    fn drop(&mut self) {
-        kernels::set_backend(Backend::Fast);
-    }
-}
 
 fn layout() -> FrameLayout {
     FrameLayout::new(1, 4, FeatureMode::Joint)
@@ -85,18 +73,19 @@ const ALL_ARCHS: [Architecture; 3] = [
     Architecture::LstmOnly,
 ];
 
-/// Steps `state` through frames `[from, to)` of stream `seed`,
-/// returning the last output.
+/// Steps `state` through frames `[from, to)` of stream `seed` on
+/// `scratch`'s backend, returning the last output.
 fn step_range(
     m: &SequenceClassifier,
     state: &mut StreamState,
+    scratch: &mut KernelScratch,
     seed: u64,
     from: usize,
     to: usize,
 ) -> Vec<f32> {
     let mut last = Vec::new();
     for t in from..to {
-        last = m.step(&synth_frame(seed, t), state);
+        last = m.step_with(&synth_frame(seed, t), state, scratch);
     }
     last
 }
@@ -104,17 +93,18 @@ fn step_range(
 /// `StreamState` byte round-trip: the deserialized state continues the
 /// stream bitwise-identically to the original, for every architecture
 /// on the given backend.
-fn assert_stream_roundtrip(seed: u64, warm: usize, tail: usize) {
+fn assert_stream_roundtrip(backend: Backend, seed: u64, warm: usize, tail: usize) {
+    let mut scratch = KernelScratch::with_backend(backend);
     for arch in ALL_ARCHS {
         let m = model(arch);
         let mut original = m.stream_state(HISTORY);
-        step_range(&m, &mut original, seed, 0, warm);
+        step_range(&m, &mut original, &mut scratch, seed, 0, warm);
 
         let bytes = original.to_bytes();
         let mut restored = StreamState::from_bytes(&bytes).expect("round-trip");
 
-        let want = step_range(&m, &mut original, seed, warm, warm + tail);
-        let got = step_range(&m, &mut restored, seed, warm, warm + tail);
+        let want = step_range(&m, &mut original, &mut scratch, seed, warm, warm + tail);
+        let got = step_range(&m, &mut restored, &mut scratch, seed, warm, warm + tail);
         assert_eq!(
             got, want,
             "{arch:?}: restored stream state diverged after {warm} warm steps"
@@ -125,8 +115,18 @@ fn assert_stream_roundtrip(seed: u64, warm: usize, tail: usize) {
 /// Engine-level equivalence: an uninterrupted engine vs one whose
 /// session was exported at `cut` (pending events included) and adopted
 /// by a fresh engine. Prediction streams must concatenate bitwise.
-fn assert_engine_roundtrip(arch: Architecture, seed: u64, steps: usize, cut: usize) {
+fn assert_engine_roundtrip(
+    backend: Backend,
+    arch: Architecture,
+    seed: u64,
+    steps: usize,
+    cut: usize,
+) {
     let m = model(arch);
+    let serve_config = || ServeConfig {
+        backend,
+        ..serve_config()
+    };
 
     // Oracle: one engine, never interrupted.
     let mut oracle = ServeEngine::new(m.clone(), builder(), serve_config());
@@ -213,10 +213,7 @@ proptest! {
         warm in 1usize..8,
         tail in 1usize..5,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Fast);
-        assert_stream_roundtrip(seed, warm, tail);
+        assert_stream_roundtrip(Backend::Fast, seed, warm, tail);
     }
 
     /// Same property on the reference kernels: the contract is
@@ -227,10 +224,7 @@ proptest! {
         warm in 1usize..8,
         tail in 1usize..5,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Reference);
-        assert_stream_roundtrip(seed, warm, tail);
+        assert_stream_roundtrip(Backend::Reference, seed, warm, tail);
     }
 
     /// Export-at-a-random-cut → restore-into-a-fresh-engine equals the
@@ -241,12 +235,9 @@ proptest! {
         steps in (HISTORY + 2)..12usize,
         cut_frac in 0.1f64..0.9,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Fast);
         let cut = ((steps as f64 * cut_frac) as usize).clamp(1, steps - 1);
         for arch in ALL_ARCHS {
-            assert_engine_roundtrip(arch, seed, steps, cut);
+            assert_engine_roundtrip(Backend::Fast, arch, seed, steps, cut);
         }
     }
 
@@ -258,11 +249,8 @@ proptest! {
         steps in (HISTORY + 2)..10usize,
         cut_frac in 0.1f64..0.9,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Reference);
         let cut = ((steps as f64 * cut_frac) as usize).clamp(1, steps - 1);
-        assert_engine_roundtrip(Architecture::CnnLstm, seed, steps, cut);
+        assert_engine_roundtrip(Backend::Reference, Architecture::CnnLstm, seed, steps, cut);
     }
 }
 
@@ -317,7 +305,7 @@ fn mismatched_checkpoint_is_refused() {
 fn corrupted_stream_state_bytes_are_rejected() {
     let m = model(Architecture::CnnLstm);
     let mut state = m.stream_state(HISTORY);
-    step_range(&m, &mut state, 7, 0, 4);
+    step_range(&m, &mut state, &mut KernelScratch::new(), 7, 0, 4);
     let bytes = state.to_bytes();
 
     let mut bad_magic = bytes.clone();

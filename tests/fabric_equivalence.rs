@@ -23,13 +23,12 @@ use m2ai::core::online::HealthState;
 use m2ai::core::serve::PushReport;
 use m2ai::core::serve::{ServeConfig, ServeEngine, ServePrediction, SessionId};
 use m2ai::fabric::{FabricConfig, PushOutcome, ServeFabric, SessionKey, ShardThrottle};
-use m2ai::kernels::{self, Backend};
+use m2ai::kernels::Backend;
 use m2ai::nn::model::SequenceClassifier;
 use m2ai::rfsim::reader::{Reader, ReaderConfig};
 use m2ai::rfsim::reading::TagReading;
 use m2ai::rfsim::room::Room;
 use m2ai::rfsim::scene::SceneSnapshot;
-use std::sync::Mutex;
 
 /// Sliding window length used throughout the suite.
 const HISTORY: usize = 3;
@@ -39,17 +38,6 @@ const STREAMS: usize = 5;
 
 /// Frames pushed per stream.
 const STEPS: usize = 8;
-
-/// Serialises tests that flip the process-global kernel backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the fast backend when a test body exits (even on panic).
-struct RestoreBackend;
-impl Drop for RestoreBackend {
-    fn drop(&mut self) {
-        kernels::set_backend(Backend::Fast);
-    }
-}
 
 fn layout() -> FrameLayout {
     FrameLayout::new(1, 4, FeatureMode::Joint)
@@ -63,20 +51,21 @@ fn model(arch: Architecture) -> SequenceClassifier {
     build_model(&layout(), 12, arch, 7)
 }
 
-fn serve_config() -> ServeConfig {
+fn serve_config(backend: Backend) -> ServeConfig {
     ServeConfig {
         history_len: HISTORY,
         queue_capacity: 1024,
+        backend,
         ..ServeConfig::default()
     }
 }
 
-fn single_shard_config() -> FabricConfig {
+fn single_shard_config(backend: Backend) -> FabricConfig {
     FabricConfig {
         shards: 1,
         vnodes: 16,
         ingress_capacity: 4096,
-        serve: serve_config(),
+        serve: serve_config(backend),
         // Supervision stays ON here: the equivalence suite pins that
         // heartbeats and periodic checkpoints never perturb numerics.
         supervision: Default::default(),
@@ -103,8 +92,11 @@ fn synth_frame(seed: u64, step: usize) -> Vec<f32> {
 
 /// Pushes the whole trace into a held single-shard fabric, then
 /// flushes; returns each stream's predictions keyed by open order.
-fn run_fabric(m: &SequenceClassifier) -> (Vec<SessionKey>, Vec<Vec<ServePrediction>>) {
-    let fabric = ServeFabric::new(m.clone(), builder(), single_shard_config());
+fn run_fabric(
+    m: &SequenceClassifier,
+    backend: Backend,
+) -> (Vec<SessionKey>, Vec<Vec<ServePrediction>>) {
+    let fabric = ServeFabric::new(m.clone(), builder(), single_shard_config(backend));
     fabric.set_throttle(0, ShardThrottle::HoldTicks);
     let keys: Vec<SessionKey> = (0..STREAMS)
         .map(|_| fabric.open_session().expect("capacity"))
@@ -146,8 +138,11 @@ fn run_fabric(m: &SequenceClassifier) -> (Vec<SessionKey>, Vec<Vec<ServePredicti
 }
 
 /// The bare-engine oracle over the same trace.
-fn run_bare(m: &SequenceClassifier) -> (Vec<SessionId>, Vec<Vec<ServePrediction>>) {
-    let mut eng = ServeEngine::new(m.clone(), builder(), serve_config());
+fn run_bare(
+    m: &SequenceClassifier,
+    backend: Backend,
+) -> (Vec<SessionId>, Vec<Vec<ServePrediction>>) {
+    let mut eng = ServeEngine::new(m.clone(), builder(), serve_config(backend));
     let ids: Vec<SessionId> = (0..STREAMS)
         .map(|_| eng.open_session().expect("capacity"))
         .collect();
@@ -169,9 +164,9 @@ fn run_bare(m: &SequenceClassifier) -> (Vec<SessionId>, Vec<Vec<ServePrediction>
 /// probabilities, health, confidence — and even the engine-local
 /// session ids, which a one-shard fabric allocates in the same order a
 /// bare engine does.
-fn assert_streams_identical(arch: Architecture, m: &SequenceClassifier) {
-    let (_, fabric_streams) = run_fabric(m);
-    let (_, bare_streams) = run_bare(m);
+fn assert_streams_identical(arch: Architecture, m: &SequenceClassifier, backend: Backend) {
+    let (_, fabric_streams) = run_fabric(m, backend);
+    let (_, bare_streams) = run_bare(m, backend);
     for (s, (got, want)) in fabric_streams.iter().zip(&bare_streams).enumerate() {
         assert!(
             !want.is_empty(),
@@ -186,24 +181,22 @@ fn assert_streams_identical(arch: Architecture, m: &SequenceClassifier) {
 
 #[test]
 fn single_shard_matches_bare_engine_fast_backend() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreBackend;
-    kernels::set_backend(Backend::Fast);
     for arch in [
         Architecture::CnnLstm,
         Architecture::CnnOnly,
         Architecture::LstmOnly,
     ] {
-        assert_streams_identical(arch, &model(arch));
+        assert_streams_identical(arch, &model(arch), Backend::Fast);
     }
 }
 
 #[test]
 fn single_shard_matches_bare_engine_reference_backend() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreBackend;
-    kernels::set_backend(Backend::Reference);
-    assert_streams_identical(Architecture::CnnLstm, &model(Architecture::CnnLstm));
+    assert_streams_identical(
+        Architecture::CnnLstm,
+        &model(Architecture::CnnLstm),
+        Backend::Reference,
+    );
 }
 
 /// Simulated tag readings chunked the way a fabric caller would push
@@ -222,14 +215,11 @@ fn reading_chunks() -> Vec<Vec<TagReading>> {
 
 #[test]
 fn single_shard_matches_bare_engine_on_raw_readings() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreBackend;
-    kernels::set_backend(Backend::Fast);
     let m = model(Architecture::CnnLstm);
     let chunks = reading_chunks();
 
     // Oracle: frame extraction inside a bare engine.
-    let mut eng = ServeEngine::new(m.clone(), builder(), serve_config());
+    let mut eng = ServeEngine::new(m.clone(), builder(), serve_config(Backend::Fast));
     let id = eng.open_session().expect("capacity");
     let mut bare_shed = 0usize;
     for c in &chunks {
@@ -241,7 +231,7 @@ fn single_shard_matches_bare_engine_on_raw_readings() {
     assert!(!want.is_empty(), "trace too short to emit — vacuous test");
 
     // Fabric: same chunks through the shard worker's extraction.
-    let fabric = ServeFabric::new(m.clone(), builder(), single_shard_config());
+    let fabric = ServeFabric::new(m.clone(), builder(), single_shard_config(Backend::Fast));
     fabric.set_throttle(0, ShardThrottle::HoldTicks);
     let key = fabric.open_session().expect("capacity");
     for c in &chunks {

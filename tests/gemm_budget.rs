@@ -16,7 +16,7 @@
 
 use m2ai::core::dataset::ExperimentConfig;
 use m2ai::core::network::{build_model, Architecture};
-use m2ai::kernels::{self, Backend, KernelScratch};
+use m2ai::kernels::{Backend, KernelScratch};
 use m2ai::nn::model::StreamState;
 use m2ai::obs::{self, MetricValue};
 use std::sync::Mutex;
@@ -60,7 +60,6 @@ fn synth_frame(row: usize, dim: usize) -> Vec<f32> {
 #[test]
 fn full_tick_dispatches_at_most_the_gemm_budget() {
     let _guard = COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert_eq!(kernels::backend(), Backend::Fast);
     assert!(
         obs::enabled(),
         "GEMM dispatches are counted only when enabled"
@@ -72,7 +71,7 @@ fn full_tick_dispatches_at_most_the_gemm_budget() {
         .collect();
     let rows: Vec<&[f32]> = frames.iter().map(|f| f.as_slice()).collect();
     let mut states: Vec<StreamState> = (0..ROWS).map(|_| model.stream_state(3)).collect();
-    let mut scratch = KernelScratch::new();
+    let mut scratch = KernelScratch::with_backend(Backend::Fast);
 
     let mut tick = |states: &mut [StreamState]| {
         let mut refs: Vec<&mut StreamState> = states.iter_mut().collect();
@@ -93,7 +92,6 @@ fn full_tick_dispatches_at_most_the_gemm_budget() {
 #[test]
 fn training_sample_dispatches_at_most_the_gemm_budget() {
     let _guard = COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert_eq!(kernels::backend(), Backend::Fast);
     assert!(
         obs::enabled(),
         "GEMM dispatches are counted only when enabled"
@@ -104,7 +102,7 @@ fn training_sample_dispatches_at_most_the_gemm_budget() {
     let frames: Vec<Vec<f32>> = (0..config.frames_per_sample)
         .map(|t| synth_frame(t, layout.frame_dim()))
         .collect();
-    let mut scratch = KernelScratch::new();
+    let mut scratch = KernelScratch::with_backend(Backend::Fast);
 
     let mut sample = |model: &mut m2ai::nn::model::SequenceClassifier| {
         let before = gemm_dispatches();

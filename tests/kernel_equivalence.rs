@@ -11,8 +11,8 @@
 //! plain dot loop, and batched `Conv1d`/encoder inference equals its
 //! rows run one at a time, bit for bit (the last property group).
 //!
-//! Tests that flip the process-global backend serialise behind
-//! [`BACKEND_LOCK`] and restore the default (`Fast`) even on panic.
+//! Each pass picks its backend through the `KernelScratch` it is
+//! handed, so the properties run side by side with no shared state.
 
 use m2ai::core::frames::{FeatureMode, FrameLayout};
 use m2ai::core::network::{build_model, Architecture};
@@ -22,27 +22,6 @@ use m2ai::nn::lstm::Lstm;
 use m2ai::nn::model::Encoder;
 use m2ai::nn::Parameterized;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serialises every test that reads or flips the global kernel backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the default backend when dropped, so a panicking case
-/// cannot leave `Reference` selected for the rest of the binary.
-struct RestoreFast;
-
-impl Drop for RestoreFast {
-    fn drop(&mut self) {
-        kernels::set_backend(Backend::Fast);
-    }
-}
-
-fn with_backend<T>(b: Backend, f: impl FnOnce() -> T) -> T {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreFast;
-    kernels::set_backend(b);
-    f()
-}
 
 /// Deterministic pseudo-random values in `(-1, 1)` (LCG; shapes are
 /// proptest-driven, the payload only needs to be well-spread).
@@ -287,17 +266,16 @@ proptest! {
         let gs = lcg_values(seed ^ 0x0dd5, rows * out_dim);
 
         let run = |backend: Backend| {
-            with_backend(backend, || {
-                let mut d = Dense::new(in_dim, out_dim, 42);
-                let mut ys = Vec::new();
-                let mut gxs = Vec::new();
-                for (x, g) in xs.chunks_exact(in_dim).zip(gs.chunks_exact(out_dim)) {
-                    ys.extend(d.forward(x));
-                    gxs.extend(d.backward(x, g));
-                }
-                let grads = grads_of(&mut d);
-                (ys, gxs, grads)
-            })
+            let mut s = KernelScratch::with_backend(backend);
+            let mut d = Dense::new(in_dim, out_dim, 42);
+            let mut ys = Vec::new();
+            let mut gxs = Vec::new();
+            for (x, g) in xs.chunks_exact(in_dim).zip(gs.chunks_exact(out_dim)) {
+                ys.extend(d.forward_with(x, &mut s));
+                gxs.extend(d.backward_batch_with(x, g, 1, &mut s));
+            }
+            let grads = grads_of(&mut d);
+            (ys, gxs, grads)
         };
         let (y_f, gx_f, g_f) = run(Backend::Fast);
         let (y_r, gx_r, g_r) = run(Backend::Reference);
@@ -306,13 +284,14 @@ proptest! {
         prop_assert!(max_abs_diff(&g_f, &g_r) <= TOL);
 
         // Batched path vs the sequence of single-row calls.
-        let (ys_b, gxs_b, g_b) = with_backend(Backend::Fast, || {
+        let (ys_b, gxs_b, g_b) = {
+            let mut s = KernelScratch::with_backend(Backend::Fast);
             let mut d = Dense::new(in_dim, out_dim, 42);
-            let ys = d.forward_batch(&xs, rows);
-            let gxs = d.backward_batch(&xs, &gs, rows);
+            let ys = d.forward_batch_with(&xs, rows, &mut s);
+            let gxs = d.backward_batch_with(&xs, &gs, rows, &mut s);
             let grads = grads_of(&mut d);
             (ys, gxs, grads)
-        });
+        };
         prop_assert!(max_abs_diff(&ys_b, &y_f) <= TOL);
         prop_assert!(max_abs_diff(&gxs_b, &gx_f) <= TOL);
         prop_assert!(max_abs_diff(&g_b, &g_f) <= TOL);
@@ -337,16 +316,15 @@ proptest! {
         let g = lcg_values(seed ^ 0x94d0, c_out * len_out);
 
         let run = |backend: Backend| {
-            with_backend(backend, || {
-                let conv = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
-                let mut layer = Layer::Conv1d(conv);
-                let (y, gx) = match &mut layer {
-                    Layer::Conv1d(c) => (c.forward(&x), c.backward(&x, &g)),
-                    _ => unreachable!(),
-                };
-                let grads = grads_of(&mut layer);
-                (y, gx, grads)
-            })
+            let mut s = KernelScratch::with_backend(backend);
+            let conv = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
+            let mut layer = Layer::Conv1d(conv);
+            let (y, gx) = match &mut layer {
+                Layer::Conv1d(c) => (c.forward_with(&x, &mut s), c.backward_with(&x, &g, &mut s)),
+                _ => unreachable!(),
+            };
+            let grads = grads_of(&mut layer);
+            (y, gx, grads)
         };
         let (y_f, gx_f, g_f) = run(Backend::Fast);
         let (y_r, gx_r, g_r) = run(Backend::Reference);
@@ -373,19 +351,18 @@ proptest! {
             .collect();
 
         let run = |backend: Backend| {
-            with_backend(backend, || {
-                let mut l = Lstm::new(in_dim, hidden, 7);
-                let cache = l.forward_sequence(&xs);
-                let outputs: Vec<f32> = cache.outputs.iter().flatten().copied().collect();
-                let gxs: Vec<f32> = l
-                    .backward_sequence(&cache, &gouts)
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                let grads = grads_of(&mut l);
-                (outputs, gxs, grads)
-            })
+            let mut s = KernelScratch::with_backend(backend);
+            let mut l = Lstm::new(in_dim, hidden, 7);
+            let cache = l.forward_sequence_with(&xs, &mut s);
+            let outputs: Vec<f32> = cache.outputs.iter().flatten().copied().collect();
+            let gxs: Vec<f32> = l
+                .backward_sequence_with(&cache, &gouts, &mut s)
+                .iter()
+                .flatten()
+                .copied()
+                .collect();
+            let grads = grads_of(&mut l);
+            (outputs, gxs, grads)
         };
         let (y_f, gx_f, g_f) = run(Backend::Fast);
         let (y_r, gx_r, g_r) = run(Backend::Reference);
@@ -401,14 +378,16 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// Runs `rows` stacked inputs through `batched` in one call and through
-/// `single` one row at a time, returning both outputs.
+/// `single` one row at a time, both on `backend`, returning both
+/// outputs.
 fn batched_and_per_row(
+    backend: Backend,
     xs: &[f32],
     rows: usize,
     batched: impl Fn(&[f32], usize, &mut KernelScratch) -> Vec<f32>,
     single: impl Fn(&[f32], &mut KernelScratch) -> Vec<f32>,
 ) -> (Vec<f32>, Vec<f32>) {
-    let mut scratch = KernelScratch::new();
+    let mut scratch = KernelScratch::with_backend(backend);
     let all = batched(xs, rows, &mut scratch);
     let per_row = xs
         .chunks_exact(xs.len() / rows)
@@ -433,10 +412,11 @@ fn encoders_of(layout: &FrameLayout, arch: Architecture, calib: &[f32]) -> (Enco
 /// Runs one `rows`-row backward into `batched` and `rows` one-row
 /// backwards, in ascending row order, into `per_row` (a copy of the same
 /// layer), after one shared warm-up backward so every gradient chain
-/// continues from non-zero values. Returns both stacked `∂L/∂x` and
-/// both parameter-gradient sets.
+/// continues from non-zero values, all on `backend`. Returns both
+/// stacked `∂L/∂x` and both parameter-gradient sets.
 #[allow(clippy::type_complexity)]
 fn backward_batched_and_per_row<L: Parameterized + Clone>(
+    backend: Backend,
     layer: &L,
     xs: &[f32],
     grads: &[f32],
@@ -444,7 +424,7 @@ fn backward_batched_and_per_row<L: Parameterized + Clone>(
     backward: impl Fn(&mut L, &[f32], &[f32], usize, &mut KernelScratch) -> Vec<f32>,
 ) -> ((Vec<f32>, Vec<f32>), (Vec<f32>, Vec<f32>)) {
     let (in_dim, out_dim) = (xs.len() / rows, grads.len() / rows);
-    let mut scratch = KernelScratch::new();
+    let mut scratch = KernelScratch::with_backend(backend);
     let mut batched = layer.clone();
     backward(
         &mut batched,
@@ -497,16 +477,13 @@ proptest! {
         let mut direct = c0.clone();
         fast::gemm_nt(m, n, k, &a, &b, &mut direct);
         prop_assert!(bits_equal(&direct, &want), "fast::gemm_nt changed bits");
-        let dispatched = with_backend(Backend::Fast, || {
-            let mut c = c0;
-            kernels::gemm_nt(m, n, k, &a, &b, &mut c);
-            c
-        });
+        let mut dispatched = c0;
+        kernels::gemm_nt(Backend::Fast, m, n, k, &a, &b, &mut dispatched);
         prop_assert!(bits_equal(&dispatched, &want), "dispatcher changed bits");
     }
 
     /// `Conv1d`'s one-GEMM batched forward equals its per-row forward
-    /// bit for bit on the fast, reference and int8 paths.
+    /// bit for bit on the fast, reference and int8 (fast-backend) paths.
     #[test]
     fn conv1d_batched_is_bitwise_per_row(
         c_in in 1usize..4,
@@ -523,27 +500,26 @@ proptest! {
         quantized.observe(&xs);
         quantized.freeze_quant();
         let plain = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
-        for (backend, conv) in [
-            (Backend::Fast, &plain),
-            (Backend::Reference, &plain),
-            (Backend::QuantI8, &quantized),
+        for (path, backend, conv) in [
+            ("fast", Backend::Fast, &plain),
+            ("reference", Backend::Reference, &plain),
+            ("int8", Backend::Fast, &quantized),
         ] {
-            let (all, per_row) = with_backend(backend, || {
-                batched_and_per_row(
-                    &xs,
-                    rows,
-                    |x, r, s| conv.forward_batch_with(x, r, s),
-                    |x, s| conv.forward_with(x, s),
-                )
-            });
-            prop_assert!(bits_equal(&all, &per_row), "{:?}: batch != per-row", backend);
+            let (all, per_row) = batched_and_per_row(
+                backend,
+                &xs,
+                rows,
+                |x, r, s| conv.forward_batch_with(x, r, s),
+                |x, s| conv.forward_with(x, s),
+            );
+            prop_assert!(bits_equal(&all, &per_row), "{}: batch != per-row", path);
         }
     }
 
     /// The assembled encoder's batched forward equals its per-row
     /// forward bit for bit for every architecture and feature mode
     /// (the degraded modes get dense encoders, `LstmOnly` the identity),
-    /// on the fast, reference and int8 paths.
+    /// on the fast, reference and int8 (fast-backend) paths.
     #[test]
     fn encoder_batched_is_bitwise_per_row(
         n_tags in 1usize..3,
@@ -566,29 +542,28 @@ proptest! {
             let layout = FrameLayout::new(n_tags, 4, mode);
             let xs = lcg_values(seed, rows * layout.frame_dim());
             let (plain, quantized) = encoders_of(&layout, arch, &xs);
-            for (backend, enc) in [
-                (Backend::Fast, &plain),
-                (Backend::Reference, &plain),
-                (Backend::QuantI8, &quantized),
+            for (path, backend, enc) in [
+                ("fast", Backend::Fast, &plain),
+                ("reference", Backend::Reference, &plain),
+                ("int8", Backend::Fast, &quantized),
             ] {
-                let (all, per_row) = with_backend(backend, || {
-                    batched_and_per_row(
-                        &xs,
-                        rows,
-                        |x, r, s| enc.forward_batch_with(x, r, s),
-                        |x, s| enc.forward_with(x, s),
-                    )
-                });
+                let (all, per_row) = batched_and_per_row(
+                    backend,
+                    &xs,
+                    rows,
+                    |x, r, s| enc.forward_batch_with(x, r, s),
+                    |x, s| enc.forward_with(x, s),
+                );
                 prop_assert!(
                     bits_equal(&all, &per_row),
-                    "{:?}/{:?} on {:?}: batch != per-row", mode, arch, backend
+                    "{:?}/{:?} on {}: batch != per-row", mode, arch, path
                 );
             }
         }
     }
 
     /// `Dense`'s batched forward equals its one-row forward bit for bit
-    /// on the fast, reference and int8 paths, and a `rows`-row backward
+    /// on the fast, reference and int8 (fast-backend) paths, and a `rows`-row backward
     /// equals `rows` one-row backwards into the same layer (`gw`, `gb`
     /// and `gx`) on the fast and reference paths.
     #[test]
@@ -604,27 +579,25 @@ proptest! {
         let mut quantized = plain.clone();
         quantized.observe(&xs);
         quantized.freeze_quant();
-        for (backend, dense) in [
-            (Backend::Fast, &plain),
-            (Backend::Reference, &plain),
-            (Backend::QuantI8, &quantized),
+        for (path, backend, dense) in [
+            ("fast", Backend::Fast, &plain),
+            ("reference", Backend::Reference, &plain),
+            ("int8", Backend::Fast, &quantized),
         ] {
-            let (all, per_row) = with_backend(backend, || {
-                batched_and_per_row(
-                    &xs,
-                    rows,
-                    |x, r, s| dense.forward_batch_with(x, r, s),
-                    |x, s| dense.forward_with(x, s),
-                )
-            });
-            prop_assert!(bits_equal(&all, &per_row), "{:?}: batch != per-row", backend);
+            let (all, per_row) = batched_and_per_row(
+                backend,
+                &xs,
+                rows,
+                |x, r, s| dense.forward_batch_with(x, r, s),
+                |x, s| dense.forward_with(x, s),
+            );
+            prop_assert!(bits_equal(&all, &per_row), "{}: batch != per-row", path);
         }
         for backend in [Backend::Fast, Backend::Reference] {
-            let ((gx_all, gx_rows), (g_all, g_rows)) = with_backend(backend, || {
-                backward_batched_and_per_row(&plain, &xs, &gs, rows, |d, x, g, r, _| {
-                    d.backward_batch(x, g, r)
-                })
-            });
+            let ((gx_all, gx_rows), (g_all, g_rows)) =
+                backward_batched_and_per_row(backend, &plain, &xs, &gs, rows, |d, x, g, r, s| {
+                    d.backward_batch_with(x, g, r, s)
+                });
             prop_assert!(bits_equal(&gx_all, &gx_rows), "{:?}: gx differs", backend);
             prop_assert!(bits_equal(&g_all, &g_rows), "{:?}: gw/gb differ", backend);
         }
@@ -648,11 +621,10 @@ proptest! {
         let xs = lcg_values(seed, rows * conv.in_dim());
         let gs = lcg_values(seed ^ 0x0dd5, rows * conv.out_dim());
         for backend in [Backend::Fast, Backend::Reference] {
-            let ((gx_all, gx_rows), (g_all, g_rows)) = with_backend(backend, || {
-                backward_batched_and_per_row(&conv, &xs, &gs, rows, |c, x, g, r, s| {
+            let ((gx_all, gx_rows), (g_all, g_rows)) =
+                backward_batched_and_per_row(backend, &conv, &xs, &gs, rows, |c, x, g, r, s| {
                     c.backward_batch_with(x, g, r, s)
-                })
-            });
+                });
             prop_assert!(bits_equal(&gx_all, &gx_rows), "{:?}: gx differs", backend);
             prop_assert!(bits_equal(&g_all, &g_rows), "{:?}: gw/gb differ", backend);
         }
@@ -679,19 +651,18 @@ proptest! {
             let feat = enc.forward(&xs[..layout.frame_dim()]).len();
             let gs = lcg_values(seed ^ 0x0dd5, rows * feat);
             for backend in [Backend::Fast, Backend::Reference] {
-                let (outs, ((gx_all, gx_rows), (g_all, g_rows))) = with_backend(backend, || {
-                    let mut scratch = KernelScratch::new();
-                    let (all, _) = enc.forward_cached_batch_with(&xs, rows, &mut scratch);
-                    let per_row: Vec<f32> = xs
-                        .chunks_exact(layout.frame_dim())
-                        .flat_map(|x| enc.forward_cached_with(x, &mut scratch).0)
-                        .collect();
-                    let grads = backward_batched_and_per_row(&enc, &xs, &gs, rows, |e, x, g, r, s| {
+                let mut scratch = KernelScratch::with_backend(backend);
+                let (all, _) = enc.forward_cached_batch_with(&xs, rows, &mut scratch);
+                let per_row: Vec<f32> = xs
+                    .chunks_exact(layout.frame_dim())
+                    .flat_map(|x| enc.forward_cached_with(x, &mut scratch).0)
+                    .collect();
+                let outs = (all, per_row);
+                let ((gx_all, gx_rows), (g_all, g_rows)) =
+                    backward_batched_and_per_row(backend, &enc, &xs, &gs, rows, |e, x, g, r, s| {
                         let (_, cache) = e.forward_cached_batch_with(x, r, s);
                         e.backward_with(&cache, g, s)
                     });
-                    ((all, per_row), grads)
-                });
                 let tag = format!("{mode:?}/{arch:?} on {backend:?}");
                 prop_assert!(bits_equal(&outs.0, &outs.1), "{}: outputs differ", tag);
                 prop_assert!(bits_equal(&gx_all, &gx_rows), "{}: gx differs", tag);

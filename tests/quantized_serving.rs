@@ -1,13 +1,14 @@
-//! End-to-end quantized serving and thread-budget clamping.
+//! Per-engine kernel choice, end-to-end quantized serving and
+//! thread-budget clamping.
 //!
-//! Two process-global knobs ship with the quantized-inference PR and
-//! both are exercised here against the real fabric:
-//!
-//! * `ServeConfig::backend` — `Some(Backend::QuantI8)` must switch the
-//!   process backend when the engine (or a fabric worker's engine) is
-//!   constructed, and a prepared model must then serve int8 end to
-//!   end: sessions open, frames flow, predictions come out finite.
-//! * the `m2ai-par` worker budget — a fabric with `shards == cores`
+//! * `ServeConfig::backend` is a per-engine value: engines on
+//!   different backends — `Reference`, `Fast`, and `Fast` over an int8
+//!   model — run concurrently in one process, and each one's
+//!   predictions equal its solo run bit for bit.
+//! * A model prepared with `prepare_quantized` serves int8 end to end
+//!   through the fabric: sessions open, frames flow, predictions come
+//!   out finite.
+//! * The `m2ai-par` worker budget — a fabric with `shards == cores`
 //!   must clamp tile-parallel GEMM down to one thread per worker so
 //!   shard workers plus GEMM tiles never oversubscribe the machine,
 //!   and the reservation must be released on shutdown.
@@ -16,25 +17,25 @@ use m2ai::core::calibration::PhaseCalibrator;
 use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai::core::network::{build_model, Architecture};
 use m2ai::core::online::HealthState;
-use m2ai::core::serve::{ServeConfig, ServeEngine};
+use m2ai::core::serve::{ServeConfig, ServeEngine, ServePrediction};
 use m2ai::fabric::{FabricConfig, PushOutcome, ServeFabric};
-use m2ai::kernels::{self, Backend};
+use m2ai::kernels::Backend;
 use m2ai::nn::model::SequenceClassifier;
 use m2ai::par::budget;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 /// Sliding window length (the serving `T`).
 const HISTORY: usize = 3;
 
-/// Serialises tests: both the kernel backend and the thread budget
-/// are process globals.
+/// Serialises the tests that build fabrics: each fabric reserves slots
+/// in the process-wide `m2ai-par` thread budget, which the clamping
+/// test sets and reads.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
-/// Restores both globals when a test body exits (even on panic).
-struct RestoreGlobals;
-impl Drop for RestoreGlobals {
+/// Restores the thread budget when a test body exits (even on panic).
+struct RestoreBudget;
+impl Drop for RestoreBudget {
     fn drop(&mut self) {
-        kernels::set_backend(Backend::Fast);
         budget::set_total_threads(0);
     }
 }
@@ -83,33 +84,92 @@ fn quantized_model() -> SequenceClassifier {
     m
 }
 
-#[test]
-fn serve_engine_applies_configured_backend() {
-    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreGlobals;
-    kernels::set_backend(Backend::Fast);
-    let cfg = ServeConfig {
-        history_len: HISTORY,
-        backend: Some(Backend::QuantI8),
-        ..ServeConfig::default()
-    };
-    let _eng = ServeEngine::new(quantized_model(), builder(), cfg);
-    assert_eq!(
-        kernels::backend(),
-        Backend::QuantI8,
-        "ServeEngine::new must activate the configured backend"
-    );
+/// Sessions and frames per session of the concurrency stream.
+const SESSIONS: usize = 4;
+const FRAMES_PER_SESSION: usize = 16;
 
-    // `None` inherits: constructing another engine must not stomp it.
-    let _eng2 = ServeEngine::new(model(), builder(), ServeConfig::default());
-    assert_eq!(kernels::backend(), Backend::QuantI8);
+/// Serves the fixed 4-session, 64-frame stream through one engine on
+/// `backend`, one tick per time step, and returns every prediction in
+/// emission order.
+fn serve_stream(model: &SequenceClassifier, backend: Backend) -> Vec<ServePrediction> {
+    let mut eng = ServeEngine::new(
+        model.clone(),
+        builder(),
+        ServeConfig {
+            history_len: HISTORY,
+            backend,
+            ..ServeConfig::default()
+        },
+    );
+    let ids: Vec<_> = (0..SESSIONS)
+        .map(|_| eng.open_session().expect("capacity"))
+        .collect();
+    let mut out = Vec::new();
+    for t in 0..FRAMES_PER_SESSION {
+        for (s, &id) in ids.iter().enumerate() {
+            eng.push_frame(id, t as f64, synth_frame(s as u64, t), HealthState::Healthy)
+                .expect("queue capacity");
+        }
+        out.extend(eng.tick());
+    }
+    out.extend(eng.drain());
+    out
+}
+
+#[test]
+fn engines_on_different_backends_run_concurrently_bitwise() {
+    let f32_model = model();
+    let int8_model = quantized_model();
+    let engines = [
+        ("reference", &f32_model, Backend::Reference),
+        ("fast", &f32_model, Backend::Fast),
+        ("fast-int8", &int8_model, Backend::Fast),
+    ];
+    let solo: Vec<_> = engines
+        .iter()
+        .map(|&(_, m, b)| serve_stream(m, b))
+        .collect();
+    assert!(
+        solo.iter().all(|s| !s.is_empty()),
+        "every engine must emit once windows fill"
+    );
+    // The backends must really differ, or the comparison below could
+    // not tell one engine's kernels from another's.
+    assert_ne!(solo[0], solo[1], "reference and fast agree bit for bit");
+    assert_ne!(solo[1], solo[2], "int8 and f32 agree bit for bit");
+
+    const ROUNDS: usize = 3;
+    let start = Barrier::new(engines.len());
+    let concurrent: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = engines
+            .iter()
+            .map(|&(_, m, b)| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    (0..ROUNDS).map(|_| serve_stream(m, b)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("engine thread panicked"))
+            .collect()
+    });
+    for ((name, _, _), (runs, want)) in engines.iter().zip(concurrent.iter().zip(&solo)) {
+        for (round, got) in runs.iter().enumerate() {
+            assert_eq!(
+                got, want,
+                "{name}: concurrent round {round} differs from its solo run"
+            );
+        }
+    }
 }
 
 #[test]
 fn fabric_serves_quantized_end_to_end() {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreGlobals;
-    kernels::set_backend(Backend::Fast);
+    let _restore = RestoreBudget;
     let cfg = FabricConfig {
         shards: 2,
         vnodes: 16,
@@ -117,7 +177,6 @@ fn fabric_serves_quantized_end_to_end() {
         serve: ServeConfig {
             history_len: HISTORY,
             queue_capacity: 1024,
-            backend: Some(Backend::QuantI8),
             ..ServeConfig::default()
         },
         supervision: Default::default(),
@@ -146,11 +205,6 @@ fn fabric_serves_quantized_end_to_end() {
     }
     let out = fabric.flush();
     fabric.shutdown();
-    assert_eq!(
-        kernels::backend(),
-        Backend::QuantI8,
-        "worker engines must have activated the configured backend"
-    );
     assert!(
         !out.is_empty(),
         "quantized fabric must emit predictions once windows fill"
@@ -172,7 +226,7 @@ fn fabric_serves_quantized_end_to_end() {
 #[test]
 fn fabric_with_shards_eq_cores_clamps_gemm_to_one_thread() {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreGlobals;
+    let _restore = RestoreBudget;
     // Pretend the machine has 4 cores so the test is deterministic on
     // any host.
     budget::set_total_threads(4);

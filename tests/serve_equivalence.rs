@@ -24,19 +24,13 @@ use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai::core::network::{build_model, Architecture};
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::{ServeConfig, ServeEngine, ServePrediction, SessionId};
-use m2ai::kernels::{self, Backend};
+use m2ai::kernels::{Backend, KernelScratch};
 use m2ai::nn::model::SequenceClassifier;
 use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Sliding window length used throughout the suite.
 const HISTORY: usize = 3;
-
-/// Serialises every test that reads or flips the process-global
-/// kernel backend. The default-backend tests take it too: otherwise
-/// the reference-backend test can flip the backend between a stream's
-/// serial and batched runs.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
 fn layout() -> FrameLayout {
     FrameLayout::new(1, 4, FeatureMode::Joint)
@@ -75,7 +69,6 @@ const ALL_ARCHS: [Architecture; 3] = [
 
 #[test]
 fn incremental_step_matches_full_replay_bitwise() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for arch in ALL_ARCHS {
         let m = model(arch);
         let frames: Vec<Vec<f32>> = (0..HISTORY).map(|t| synth_frame(5, t)).collect();
@@ -96,23 +89,15 @@ fn incremental_step_matches_full_replay_bitwise() {
 fn incremental_step_matches_full_replay_on_reference_backend() {
     // The bit-exactness argument is per-backend (each computes one
     // accumulator chain per output); pin it on the naive kernels too.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            kernels::set_backend(Backend::Fast);
-        }
-    }
-    let _restore = Restore;
-    kernels::set_backend(Backend::Reference);
+    let mut scratch = KernelScratch::with_backend(Backend::Reference);
     let m = model(Architecture::CnnLstm);
     let frames: Vec<Vec<f32>> = (0..HISTORY).map(|t| synth_frame(6, t)).collect();
     let mut state = m.stream_state(HISTORY);
     let mut last = Vec::new();
     for f in &frames {
-        last = m.step(f, &mut state);
+        last = m.step_with(f, &mut state, &mut scratch);
     }
-    assert_eq!(last, m.predict_proba(&frames));
+    assert_eq!(last, m.predict_proba_with(&frames, &mut scratch));
 }
 
 /// Feeds `steps` frames of stream `seed` to one engine session and
@@ -138,7 +123,6 @@ fn run_single(m: &SequenceClassifier, seed: u64, steps: usize) -> Vec<ServePredi
 fn batched_ticks_match_serial_ticks_bitwise() {
     const B: usize = 5;
     const STEPS: usize = 7;
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for arch in ALL_ARCHS {
         let m = model(arch);
         // Serial: each stream alone in its own engine.
@@ -209,7 +193,6 @@ proptest! {
     ) {
         const B: usize = 4;
         const STEPS: usize = 6;
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let m = shared_model();
         let mut eng = ServeEngine::new(
             m.clone(),

@@ -8,34 +8,19 @@
 //!
 //! - **refresh windows are bitwise-identical** — the extractor runs the
 //!   exact batch arithmetic there, so not a single mantissa bit may
-//!   differ, on either kernel backend;
+//!   differ;
 //! - **incremental windows stay inside a tight band** — they use the
 //!   `f32` GEMM-lowered pseudospectrum scan over the rank-1-updated
 //!   covariance, so they may differ from the `f64` batch path, but only
 //!   within the documented tolerance.
 //!
-//! The kernel backend is process-global, so both backends are exercised
-//! sequentially inside each property case rather than in separate
-//! `#[test]`s, and every property serialises behind [`BACKEND_LOCK`] so
-//! one case cannot flip the backend under another.
+//! The streaming scan runs on the thread's `Fast` kernel scratch; the
+//! scan itself is checked on both backends against the exact scan by
+//! `music.rs`'s `gemm_scan_matches_exact_scan_on_both_backends`.
 
 use m2ai::core::stream_extract::{StreamExtractor, StreamingExtract};
 use m2ai::prelude::*;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serialises every test that reads or flips the global kernel backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the default backend when dropped, so a failing case cannot
-/// leave `Reference` selected for the rest of the binary.
-struct RestoreFast;
-
-impl Drop for RestoreFast {
-    fn drop(&mut self) {
-        m2ai::kernels::set_backend(m2ai::kernels::Backend::Fast);
-    }
-}
 
 /// Worst tolerated |streaming − batch| frame element on incremental
 /// windows (refresh windows are exact). Matches the BENCH_extract gate.
@@ -48,8 +33,8 @@ const HOP_S: f64 = 0.1;
 const FRAME_S: f64 = 0.4;
 
 proptest! {
-    // Each case runs MUSIC over a dozen windows twice per backend;
-    // keep the case count modest.
+    // Each case runs MUSIC over a dozen windows twice; keep the case
+    // count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Streaming-vs-batch equivalence over random fault intensities,
@@ -72,43 +57,38 @@ proptest! {
         let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(2, 4), FRAME_S);
         let cfg = StreamingExtract { refresh_every };
 
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreFast;
-        for backend in [m2ai::kernels::Backend::Reference, m2ai::kernels::Backend::Fast] {
-            m2ai::kernels::set_backend(backend);
-            let mut ex = StreamExtractor::try_new(&builder, cfg)
-                .expect("joint layout at an aligned frame length supports streaming");
-            for r in &readings {
-                ex.ingest(r);
-            }
-            for k in 0..N_WINDOWS {
-                let t0 = k as f64 * HOP_S;
-                let refresh = ex.next_is_refresh();
-                let (sf, sq) = ex.extract(t0);
-                let (bf, bq) = builder.build_frame_with_quality(&sorted, t0);
-                prop_assert_eq!(sf.len(), bf.len());
-                if refresh {
-                    for (i, (a, b)) in sf.iter().zip(&bf).enumerate() {
-                        prop_assert!(
-                            a.to_bits() == b.to_bits(),
-                            "refresh window {} ({:?}) diverged at element {}: {} vs {}",
-                            k, backend, i, a, b
-                        );
-                    }
-                } else {
-                    for (i, (a, b)) in sf.iter().zip(&bf).enumerate() {
-                        let diff = (f64::from(*a) - f64::from(*b)).abs();
-                        prop_assert!(
-                            diff <= BAND,
-                            "incremental window {} ({:?}) element {}: |{} - {}| = {:e}",
-                            k, backend, i, a, b, diff
-                        );
-                    }
+        let mut ex = StreamExtractor::try_new(&builder, cfg)
+            .expect("joint layout at an aligned frame length supports streaming");
+        for r in &readings {
+            ex.ingest(r);
+        }
+        for k in 0..N_WINDOWS {
+            let t0 = k as f64 * HOP_S;
+            let refresh = ex.next_is_refresh();
+            let (sf, sq) = ex.extract(t0);
+            let (bf, bq) = builder.build_frame_with_quality(&sorted, t0);
+            prop_assert_eq!(sf.len(), bf.len());
+            if refresh {
+                for (i, (a, b)) in sf.iter().zip(&bf).enumerate() {
+                    prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "refresh window {} diverged at element {}: {} vs {}",
+                        k, i, a, b
+                    );
                 }
-                // Coverage counts complete snapshot rounds, which both
-                // paths track exactly, refresh or not.
-                prop_assert!(sq == bq, "window {} ({:?}) quality mismatch", k, backend);
+            } else {
+                for (i, (a, b)) in sf.iter().zip(&bf).enumerate() {
+                    let diff = (f64::from(*a) - f64::from(*b)).abs();
+                    prop_assert!(
+                        diff <= BAND,
+                        "incremental window {} element {}: |{} - {}| = {:e}",
+                        k, i, a, b, diff
+                    );
+                }
             }
+            // Coverage counts complete snapshot rounds, which both
+            // paths track exactly, refresh or not.
+            prop_assert!(sq == bq, "window {} quality mismatch", k);
         }
     }
 
@@ -125,7 +105,6 @@ proptest! {
         shuffle(&mut readings, shuffle_seed);
         let sorted = sorted_dedup(readings.clone());
 
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let layout = FrameLayout::new(2, 4, FeatureMode::Joint);
         let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(2, 4), FRAME_S);
         let mut ex = StreamExtractor::try_new(&builder, StreamingExtract { refresh_every: 1 })
