@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p m2ai-bench --bin experiments -- all
 //! cargo run --release -p m2ai-bench --bin experiments -- fig9 --fast
-//! cargo run --release -p m2ai-bench --bin experiments -- serve --metrics-out m.json
+//! cargo run --release -p m2ai-bench --bin experiments -- obs --metrics-out m.json
 //! ```
 
 use m2ai_bench::{run_all, Budget};
@@ -78,24 +78,6 @@ fn main() {
             "robustness" => {
                 m2ai_bench::robustness::run_and_write(budget, "BENCH_robustness.json", 2026);
             }
-            "throughput" => {
-                if args.iter().any(|a| a == "--check") {
-                    if !m2ai_bench::throughput::check("BENCH_throughput.json") {
-                        std::process::exit(1);
-                    }
-                } else {
-                    m2ai_bench::throughput::run_and_write("BENCH_throughput.json");
-                }
-            }
-            "extract" => {
-                if args.iter().any(|a| a == "--check") {
-                    if !m2ai_bench::extract::check("BENCH_extract.json") {
-                        std::process::exit(1);
-                    }
-                } else {
-                    m2ai_bench::extract::run_and_write("BENCH_extract.json");
-                }
-            }
             "quant" => {
                 if args.iter().any(|a| a == "--check") {
                     if !m2ai_bench::quant::check(budget, "BENCH_quant.json") {
@@ -103,24 +85,6 @@ fn main() {
                     }
                 } else {
                     m2ai_bench::quant::run_and_write(budget, "BENCH_quant.json");
-                }
-            }
-            "serve" => {
-                if args.iter().any(|a| a == "--check") {
-                    if !m2ai_bench::serve::check("BENCH_serve.json") {
-                        std::process::exit(1);
-                    }
-                } else {
-                    m2ai_bench::serve::run_and_write("BENCH_serve.json");
-                }
-            }
-            "shard" => {
-                if args.iter().any(|a| a == "--check") {
-                    if !m2ai_bench::shard::check("BENCH_shard.json") {
-                        std::process::exit(1);
-                    }
-                } else {
-                    m2ai_bench::shard::run_and_write("BENCH_shard.json");
                 }
             }
             "chaos" => {
@@ -148,7 +112,7 @@ fn main() {
             other => {
                 eprintln!("unknown experiment '{other}'");
                 eprintln!(
-                    "known: all fig2 fig3 fig9 table1 fig10..fig17 ablation-aoa ext-transfer robustness throughput extract quant serve shard chaos obs trace; flags --fast --check --metrics-out <path> --trace-out <path>"
+                    "known: all fig2 fig3 fig9 table1 fig10..fig17 ablation-aoa ext-transfer robustness quant chaos obs trace; flags --fast --check --metrics-out <path> --trace-out <path>"
                 );
                 std::process::exit(2);
             }

@@ -27,7 +27,6 @@
 //! relative checks against a baseline only apply between runs on the
 //! same core count.
 
-use crate::throughput::{json_f64, parse_metric};
 use m2ai_core::calibration::PhaseCalibrator;
 use m2ai_core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai_core::network::{build_model, Architecture};
@@ -39,7 +38,7 @@ use m2ai_serve_fabric::{
 };
 use std::time::{Duration, Instant};
 
-use crate::header;
+use crate::{header, json_f64, parse_metric};
 
 /// Streaming sessions during the crash-recovery phase.
 const SESSIONS: usize = 24;

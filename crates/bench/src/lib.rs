@@ -1,5 +1,4 @@
-//! Shared experiment-harness machinery for the `experiments` binary and
-//! the `figures` bench target.
+//! Shared experiment-harness machinery for the `experiments` binary.
 //!
 //! Each `fig*` function regenerates one table or figure of the paper's
 //! evaluation (Section VI) and prints the measured rows next to the
@@ -9,13 +8,9 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod extract;
 pub mod obs;
 pub mod quant;
 pub mod robustness;
-pub mod serve;
-pub mod shard;
-pub mod throughput;
 pub mod trace_gate;
 
 use m2ai_core::dataset::{generate_dataset, ExperimentConfig, RoomKind};
@@ -28,7 +23,7 @@ use m2ai_core::pipeline::{evaluate_baselines, train_m2ai, TrainOptions, TrainOut
 pub enum Budget {
     /// Full reproduction run (the numbers recorded in EXPERIMENTS.md).
     Full,
-    /// Smoke-test run for `cargo bench` / CI: same code paths, smaller
+    /// Smoke-test run for CI: same code paths, smaller
     /// datasets and fewer epochs. Accuracies are lower across the
     /// board but orderings still show.
     Fast,
@@ -106,6 +101,25 @@ fn pct(x: f64) -> String {
 fn header(id: &str, title: &str) {
     println!();
     println!("==== {id}: {title} ====");
+}
+
+/// Formats a gate-report number for a flat JSON document; non-finite
+/// values become `null`, which [`parse_metric`] then refuses.
+pub(crate) fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// Extracts `"key": <number>` from a flat JSON document.
+pub(crate) fn parse_metric(json: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let idx = json.find(&pat)?;
+    let rest = json[idx + pat.len()..].trim_start();
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
 }
 
 /// Fig. 3 — phase jumping across hopping channels is linear in
@@ -539,4 +553,23 @@ pub fn ext_transfer(budget: Budget) {
         100.0 * outcome.test_accuracy,
         100.0 * transfer
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_metric_handles_last_key() {
+        let json = "{\n  \"a\": 1.5,\n  \"speedup\": 3.25\n}\n";
+        assert_eq!(parse_metric(json, "speedup"), Some(3.25));
+        assert_eq!(parse_metric(json, "missing"), None);
+    }
+
+    #[test]
+    fn non_finite_becomes_null_and_fails_parse() {
+        let json = format!("{{\n  \"x\": {}\n}}\n", json_f64(f64::NAN));
+        assert!(json.contains("\"x\": null"));
+        assert_eq!(parse_metric(&json, "x"), None);
+    }
 }

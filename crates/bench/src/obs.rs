@@ -39,7 +39,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "m2ai_par_tasks_total",
     "m2ai_motion_catalog_builds_total",
     "m2ai_kernels_gemm_seconds",
-    "m2ai_kernels_tile_tasks_total",
     "m2ai_kernels_quant_calib_absmax",
     "m2ai_nn_fit_epochs_total",
     "m2ai_nn_batches_skipped_total",
@@ -85,7 +84,6 @@ const NONZERO_COUNTERS: &[&str] = &[
     "m2ai_extract_stream_refreshes_total",
     "m2ai_par_tasks_total",
     "m2ai_motion_catalog_builds_total",
-    "m2ai_kernels_tile_tasks_total",
     "m2ai_nn_fit_epochs_total",
     "m2ai_core_health_transitions_total",
     "m2ai_serve_predictions_total",
@@ -286,13 +284,7 @@ pub fn smoke_workload() {
     let mut scratch = m2ai_kernels::KernelScratch::new();
     let _ = model.predict_proba_with(&samples[0].0, &mut scratch);
 
-    // One tile-parallel GEMM past the worthwhile floor (tile-task
-    // counter) and one calibration pass (quant range histograms).
-    let (m, n, k) = (160, 128, 64);
-    let a = vec![0.01f32; m * k];
-    let b = vec![0.02f32; k * n];
-    let mut c = vec![0.0f32; m * n];
-    m2ai_kernels::tiled::gemm_nn_with_threads(m, n, k, &a, &b, &mut c, 2);
+    // One calibration pass (quant range histograms).
     let mut qmodel = model.clone();
     qmodel.prepare_quantized(samples.iter().map(|(frames, _)| frames.as_slice()));
 }

@@ -1,11 +1,11 @@
-//! Int8 quantized-inference accuracy gate (tiled-GEMM PR).
+//! Int8 quantized-inference accuracy gate.
 //!
 //! Trains the full M²AI pipeline once in f32, calibrates and freezes
 //! the per-channel int8 weights (`prepare_quantized`), then scores the
 //! frozen model on an *unseen* golden evaluation dataset before and
 //! after. The headline number is the top-1 accuracy delta between
-//! f32 and int8 inference — the PR promises it stays within one
-//! percentage point.
+//! f32 and int8 inference, which the gate holds within one percentage
+//! point.
 //!
 //! Everything is seed-driven and deterministic — dataset generation,
 //! training (bitwise on the fast backend), calibration and the int8
@@ -16,11 +16,10 @@
 
 use m2ai_core::dataset::generate_dataset;
 
-use crate::throughput::{json_f64, parse_metric};
-use crate::{base_config, base_options, header, Budget};
+use crate::{base_config, base_options, header, json_f64, parse_metric, Budget};
 
 /// Maximum tolerated top-1 accuracy drop of int8 vs f32, in
-/// percentage points (the PR's acceptance criterion).
+/// percentage points.
 pub const MAX_DELTA_PP: f64 = 1.0;
 
 /// Calibration sequences fed to `prepare_quantized` (taken from the

@@ -65,7 +65,7 @@ impl TrainOptions {
         }
     }
 
-    /// A reduced regime for smoke tests and the `cargo bench` figures.
+    /// A reduced regime for smoke tests, examples and doc snippets.
     pub fn fast() -> Self {
         TrainOptions {
             epochs: 25,

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub enum SourceCount {
     /// Use exactly this many sources (clamped to `n_antennas - 1`).
     Fixed(usize),
-    /// Estimate with the Minimum Description Length criterion.
+    /// Estimate with Minimum Description Length model-order selection.
     Mdl,
     /// Estimate with the Akaike Information Criterion.
     Aic,
@@ -420,15 +420,15 @@ pub fn spatially_smoothed_correlation(
 /// `n_snapshots` is the number of observations that produced the
 /// correlation matrix. The result is in `0..=n-1`.
 pub fn estimate_sources_mdl(eigenvalues: &[f64], n_snapshots: usize) -> usize {
-    information_criterion(eigenvalues, n_snapshots, true)
+    select_model_order(eigenvalues, n_snapshots, true)
 }
 
 /// Estimates the number of sources via AIC (tends to overestimate).
 pub fn estimate_sources_aic(eigenvalues: &[f64], n_snapshots: usize) -> usize {
-    information_criterion(eigenvalues, n_snapshots, false)
+    select_model_order(eigenvalues, n_snapshots, false)
 }
 
-fn information_criterion(eigenvalues: &[f64], n_snapshots: usize, mdl: bool) -> usize {
+fn select_model_order(eigenvalues: &[f64], n_snapshots: usize, mdl: bool) -> usize {
     let n = eigenvalues.len();
     if n < 2 {
         return 0;

@@ -475,10 +475,6 @@ impl Inner {
 pub struct ServeFabric {
     inner: Arc<Inner>,
     supervisor: Option<JoinHandle<FabricStats>>,
-    /// Reserves one worker slot per shard in the process-wide thread
-    /// budget so tile-parallel GEMM inside shard workers does not
-    /// oversubscribe the cores. Released on drop/shutdown.
-    _reservation: m2ai_par::budget::WorkerReservation,
 }
 
 impl std::fmt::Debug for ServeFabric {
@@ -567,7 +563,6 @@ impl ServeFabric {
             .spawn(move || supervisor.run())
             .expect("spawn fabric supervisor");
         ServeFabric {
-            _reservation: m2ai_par::budget::reserve_workers(inner.cfg.shards),
             inner,
             supervisor: Some(handle),
         }

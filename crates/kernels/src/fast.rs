@@ -30,57 +30,30 @@ pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), m * k, "gemm_nn: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm_nn: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nn: C shape mismatch");
-    gemm_nn_strided(m, n, k, a, b, n, c, n);
-}
-
-/// [`gemm_nn`] with its own row strides: `B` rows are `ldb` apart and
-/// `C` rows `ldc` apart (`A` rows are contiguous). The tiled layer runs
-/// it over a packed `B` panel into a column window of its `C` tile.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_nn_strided(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
     let mut i = 0;
     while i + MB <= m {
-        let rows = &a[i * k..(i + MB) * k];
-        gemm_nn_rows::<MB>(n, k, rows, b, ldb, &mut c[i * ldc..], ldc);
+        gemm_nn_rows::<MB>(n, k, &a[i * k..(i + MB) * k], b, &mut c[i * n..]);
         i += MB;
     }
     for i in i..m {
-        let row = &a[i * k..(i + 1) * k];
-        gemm_nn_rows::<1>(n, k, row, b, ldb, &mut c[i * ldc..], ldc);
+        gemm_nn_rows::<1>(n, k, &a[i * k..(i + 1) * k], b, &mut c[i * n..]);
     }
 }
 
-/// [`gemm_nn_strided`] for `R` rows (`a` is `R × k`), in column blocks
-/// of [`NB`], then 4, then 1.
-fn gemm_nn_rows<const R: usize>(
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
+/// [`gemm_nn`] for `R` rows (`a` is `R × k`), in column blocks of
+/// [`NB`], then 4, then 1.
+fn gemm_nn_rows<const R: usize>(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let mut j = 0;
     while j + NB <= n {
-        gemm_nn_block::<R, NB>(j, k, a, b, ldb, c, ldc);
+        gemm_nn_block::<R, NB>(n, j, k, a, b, c);
         j += NB;
     }
     while j + 4 <= n {
-        gemm_nn_block::<R, 4>(j, k, a, b, ldb, c, ldc);
+        gemm_nn_block::<R, 4>(n, j, k, a, b, c);
         j += 4;
     }
     while j < n {
-        gemm_nn_block::<R, 1>(j, k, a, b, ldb, c, ldc);
+        gemm_nn_block::<R, 1>(n, j, k, a, b, c);
         j += 1;
     }
 }
@@ -88,20 +61,19 @@ fn gemm_nn_rows<const R: usize>(
 /// `C[:, j..j+W] += A · B[:, j..j+W]` for `R` rows: `R × W`
 /// accumulators, one per output.
 fn gemm_nn_block<const R: usize, const W: usize>(
+    n: usize,
     j: usize,
     k: usize,
     a: &[f32],
     b: &[f32],
-    ldb: usize,
     c: &mut [f32],
-    ldc: usize,
 ) {
     let mut acc = [[0.0f32; W]; R];
     for (r, acc_r) in acc.iter_mut().enumerate() {
-        acc_r.copy_from_slice(&c[r * ldc + j..r * ldc + j + W]);
+        acc_r.copy_from_slice(&c[r * n + j..r * n + j + W]);
     }
     for p in 0..k {
-        let bp = &b[p * ldb + j..p * ldb + j + W];
+        let bp = &b[p * n + j..p * n + j + W];
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let av = a[r * k + p];
             for x in 0..W {
@@ -110,7 +82,7 @@ fn gemm_nn_block<const R: usize, const W: usize>(
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        c[r * ldc + j..r * ldc + j + W].copy_from_slice(acc_r);
+        c[r * n + j..r * n + j + W].copy_from_slice(acc_r);
     }
 }
 

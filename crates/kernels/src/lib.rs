@@ -54,7 +54,6 @@ pub mod fast;
 pub mod im2col;
 pub mod quant;
 pub mod reference;
-pub mod tiled;
 
 /// Which kernel implementation the top-level dispatchers use.
 ///
@@ -67,11 +66,6 @@ pub enum Backend {
     /// Register-blocked `mul_add` microkernels (the default).
     #[default]
     Fast,
-    /// The [`fast`] microkernels wrapped in cache-blocked macro-tiling
-    /// with a thread-budgeted parallel M-tile loop ([`tiled`]).
-    /// Bit-identical to [`Backend::Fast`] for every shape and thread
-    /// count; small shapes fall through to `fast` untouched.
-    FastParallel,
 }
 
 /// GEMM-timing metrics.
@@ -145,7 +139,6 @@ pub fn gemm_nn(
     }
     obs_metrics::time_gemm(m, n, k, || match backend {
         Backend::Fast => fast::gemm_nn(m, n, k, a, b, c),
-        Backend::FastParallel => tiled::gemm_nn(m, n, k, a, b, c),
         Backend::Reference => reference::gemm_nn(m, n, k, a, b, c),
     })
 }
@@ -171,7 +164,6 @@ pub fn gemm_nt(
     }
     obs_metrics::time_gemm(m, n, k, || match backend {
         Backend::Fast => fast::gemm_nt(m, n, k, a, b, c),
-        Backend::FastParallel => tiled::gemm_nt(m, n, k, a, b, c),
         Backend::Reference => reference::gemm_nt(m, n, k, a, b, c),
     })
 }
@@ -188,7 +180,6 @@ pub fn gemm_tn(
 ) {
     obs_metrics::time_gemm(m, n, k, || match backend {
         Backend::Fast => fast::gemm_tn(m, n, k, a, b, c),
-        Backend::FastParallel => tiled::gemm_tn(m, n, k, a, b, c),
         Backend::Reference => reference::gemm_tn(m, n, k, a, b, c),
     })
 }
@@ -196,16 +187,16 @@ pub fn gemm_tn(
 /// y\[m\] += A\[m×k\] · x\[k\] (row-major A).
 pub fn gemv(backend: Backend, m: usize, k: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
     match backend {
+        Backend::Fast => fast::gemv(m, k, a, x, y),
         Backend::Reference => reference::gemv(m, k, a, x, y),
-        _ => fast::gemv(m, k, a, x, y),
     }
 }
 
 /// y\[n\] += Aᵀ · x, i.e. `y[j] += Σ_r x[r] * a[r*n + j]` for A \[r×n\].
 pub fn gemv_t(backend: Backend, r: usize, n: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
     match backend {
+        Backend::Fast => fast::gemv_t(r, n, a, x, y),
         Backend::Reference => reference::gemv_t(r, n, a, x, y),
-        _ => fast::gemv_t(r, n, a, x, y),
     }
 }
 

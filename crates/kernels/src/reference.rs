@@ -5,8 +5,7 @@
 //! walks, the LSTM gate matmuls): one accumulator per output, reduction
 //! index ascending, `acc += a * b` with the product rounded before the
 //! add. They are the ground truth that [`crate::fast`] must match to
-//! within FMA rounding, and the baseline that the throughput harness
-//! measures speedups against. Do not "optimise" them.
+//! within FMA rounding. Do not "optimise" them.
 
 /// C\[m×n\] += A\[m×k\] · B\[k×n\], row-major.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {

@@ -17,8 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tasks-dispatched counter, resolved once per process.

@@ -16,7 +16,7 @@
 
 use m2ai::core::frames::{FeatureMode, FrameLayout};
 use m2ai::core::network::{build_model, Architecture};
-use m2ai::kernels::{self, fast, quant, reference, tiled, Backend, KernelScratch};
+use m2ai::kernels::{self, fast, quant, reference, Backend, KernelScratch};
 use m2ai::nn::layers::{Conv1d, Dense, Layer};
 use m2ai::nn::lstm::Lstm;
 use m2ai::nn::model::Encoder;
@@ -176,23 +176,21 @@ proptest! {
     }
 }
 
-// Large-shape tiled properties get their own (smaller) case budget:
-// each case multiplies several-hundred-dimension matrices in debug
-// builds.
+// Large-shape properties get their own (smaller) case budget: each
+// case multiplies several-hundred-dimension matrices in debug builds.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The cache-blocked parallel tiling agrees with `reference` at
-    /// shapes large enough to actually cross the tiled path's
-    /// worthwhile threshold (several-hundred dimensions, multiple M
-    /// tiles and K panels), in all three storage layouts. Tolerance is
+    /// The fast kernels agree with `reference` at shapes of several
+    /// hundred dimensions, past the small shapes the other properties
+    /// draw, in all three storage layouts: many full 4-row and
+    /// 16-column register blocks plus their remainders. Tolerance is
     /// banded by the accumulation length `k`.
     #[test]
-    fn tiled_matches_reference_at_large_shapes(
+    fn fast_matches_reference_at_large_shapes(
         m in 130usize..280,
         n in 96usize..170,
         k in 96usize..170,
-        threads in 2usize..5,
         seed in any::<u64>(),
     ) {
         // FMA-rounding slack grows with the accumulation chain.
@@ -201,53 +199,26 @@ proptest! {
         let b = lcg_values(seed ^ 0x9e37, k * n);
         let c0 = lcg_values(seed ^ 0x79b9, m * n);
 
-        let mut c_tiled = c0.clone();
+        let mut c_fast = c0.clone();
         let mut c_ref = c0.clone();
-        tiled::gemm_nn_with_threads(m, n, k, &a, &b, &mut c_tiled, threads);
+        fast::gemm_nn(m, n, k, &a, &b, &mut c_fast);
         reference::gemm_nn(m, n, k, &a, &b, &mut c_ref);
-        prop_assert!(max_abs_diff(&c_tiled, &c_ref) <= tol);
+        prop_assert!(max_abs_diff(&c_fast, &c_ref) <= tol);
 
         let bt = lcg_values(seed ^ 0x7f4a, n * k);
-        let mut c_tiled = c0.clone();
+        let mut c_fast = c0.clone();
         let mut c_ref = c0.clone();
-        tiled::gemm_nt_with_threads(m, n, k, &a, &bt, &mut c_tiled, threads);
+        fast::gemm_nt(m, n, k, &a, &bt, &mut c_fast);
         reference::gemm_nt(m, n, k, &a, &bt, &mut c_ref);
-        prop_assert!(max_abs_diff(&c_tiled, &c_ref) <= tol);
+        prop_assert!(max_abs_diff(&c_fast, &c_ref) <= tol);
 
         let at = lcg_values(seed ^ 0x7c15, k * m);
-        let mut c_tiled = c0.clone();
+        let mut c_fast = c0.clone();
         let mut c_ref = c0;
-        tiled::gemm_tn_with_threads(m, n, k, &at, &b, &mut c_tiled, threads);
+        fast::gemm_tn(m, n, k, &at, &b, &mut c_fast);
         reference::gemm_tn(m, n, k, &at, &b, &mut c_ref);
-        prop_assert!(max_abs_diff(&c_tiled, &c_ref) <= tol);
+        prop_assert!(max_abs_diff(&c_fast, &c_ref) <= tol);
     }
-
-    /// Determinism is *exact*, not banded: the tiled path returns the
-    /// same bits as the single-thread fast kernel for every thread
-    /// count, because M-tile tasks own disjoint C rows and K panels
-    /// accumulate in a fixed order.
-    #[test]
-    fn tiled_is_bit_exact_across_thread_counts(
-        m in 130usize..260,
-        n in 96usize..150,
-        k in 96usize..150,
-        seed in any::<u64>(),
-    ) {
-        let a = lcg_values(seed, m * k);
-        let b = lcg_values(seed ^ 0x9e37, k * n);
-        let c0 = lcg_values(seed ^ 0x79b9, m * n);
-        let mut want = c0.clone();
-        fast::gemm_nn(m, n, k, &a, &b, &mut want);
-        for threads in [1, 2, 3, 8] {
-            let mut c = c0.clone();
-            tiled::gemm_nn_with_threads(m, n, k, &a, &b, &mut c, threads);
-            prop_assert!(
-                c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "threads={threads} changed bits"
-            );
-        }
-    }
-
 }
 
 proptest! {

@@ -1,5 +1,4 @@
-//! Per-engine kernel choice, end-to-end quantized serving and
-//! thread-budget clamping.
+//! Per-engine kernel choice and end-to-end quantized serving.
 //!
 //! * `ServeConfig::backend` is a per-engine value: engines on
 //!   different backends — `Reference`, `Fast`, and `Fast` over an int8
@@ -8,10 +7,9 @@
 //! * A model prepared with `prepare_quantized` serves int8 end to end
 //!   through the fabric: sessions open, frames flow, predictions come
 //!   out finite.
-//! * The `m2ai-par` worker budget — a fabric with `shards == cores`
-//!   must clamp tile-parallel GEMM down to one thread per worker so
-//!   shard workers plus GEMM tiles never oversubscribe the machine,
-//!   and the reservation must be released on shutdown.
+//!
+//! Neither test sets a process-wide knob, so the two run in parallel
+//! with no lock.
 
 use m2ai::core::calibration::PhaseCalibrator;
 use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
@@ -21,24 +19,10 @@ use m2ai::core::serve::{ServeConfig, ServeEngine, ServePrediction};
 use m2ai::fabric::{FabricConfig, PushOutcome, ServeFabric};
 use m2ai::kernels::Backend;
 use m2ai::nn::model::SequenceClassifier;
-use m2ai::par::budget;
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 
 /// Sliding window length (the serving `T`).
 const HISTORY: usize = 3;
-
-/// Serialises the tests that build fabrics: each fabric reserves slots
-/// in the process-wide `m2ai-par` thread budget, which the clamping
-/// test sets and reads.
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the thread budget when a test body exits (even on panic).
-struct RestoreBudget;
-impl Drop for RestoreBudget {
-    fn drop(&mut self) {
-        budget::set_total_threads(0);
-    }
-}
 
 fn layout() -> FrameLayout {
     FrameLayout::new(1, 4, FeatureMode::Joint)
@@ -168,8 +152,6 @@ fn engines_on_different_backends_run_concurrently_bitwise() {
 
 #[test]
 fn fabric_serves_quantized_end_to_end() {
-    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreBudget;
     let cfg = FabricConfig {
         shards: 2,
         vnodes: 16,
@@ -221,42 +203,4 @@ fn fabric_serves_quantized_end_to_end() {
             "every stream must have produced at least one prediction"
         );
     }
-}
-
-#[test]
-fn fabric_with_shards_eq_cores_clamps_gemm_to_one_thread() {
-    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreBudget;
-    // Pretend the machine has 4 cores so the test is deterministic on
-    // any host.
-    budget::set_total_threads(4);
-    let reserved_before = budget::reserved_workers();
-
-    let cfg = FabricConfig {
-        shards: 4,
-        vnodes: 16,
-        ingress_capacity: 64,
-        serve: ServeConfig {
-            history_len: HISTORY,
-            ..ServeConfig::default()
-        },
-        supervision: Default::default(),
-    };
-    let fabric = ServeFabric::new(model(), builder(), cfg);
-    assert_eq!(
-        budget::reserved_workers(),
-        reserved_before + 4,
-        "the fabric must reserve one budget slot per shard"
-    );
-    assert_eq!(
-        budget::gemm_threads(),
-        1,
-        "shards == cores must leave GEMM single-threaded (no oversubscription)"
-    );
-    fabric.shutdown();
-    assert_eq!(
-        budget::reserved_workers(),
-        reserved_before,
-        "shutdown must release the reservation"
-    );
 }

@@ -23,7 +23,7 @@ use m2ai::prelude::*;
 use proptest::prelude::*;
 
 /// Worst tolerated |streaming − batch| frame element on incremental
-/// windows (refresh windows are exact). Matches the BENCH_extract gate.
+/// windows (refresh windows are exact).
 const BAND: f64 = 1e-3;
 
 /// Overlapping window starts: one hop per inventory round (0.1 s) over
@@ -124,6 +124,62 @@ proptest! {
             prop_assert_eq!(sq, bq);
         }
     }
+}
+
+/// The serve default cadence over a serve-length session: a 25 s
+/// six-tag laboratory recording, 220 overlapping 0.4 s windows hopping
+/// by one 0.1 s round, and an exact refresh every 8th window. Long
+/// sessions are where the rank-1 covariance updates and the `f32`
+/// scan have the most windows to drift over between refreshes.
+#[test]
+fn serve_cadence_matches_batch_over_a_long_session() {
+    use m2ai::rfsim::geometry::Point2;
+
+    const SESSION_S: f64 = 25.0;
+    const LONG_N_WINDOWS: usize = 220;
+    const REFRESH_EVERY: u32 = 8;
+
+    let mut reader = Reader::new(
+        Room::laboratory(),
+        ReaderConfig {
+            n_antennas: 4,
+            seed: 11,
+            ..ReaderConfig::default()
+        },
+        6,
+    );
+    let scene = SceneSnapshot::with_tags(vec![
+        Point2::new(5.5, 4.0),
+        Point2::new(5.7, 4.2),
+        Point2::new(5.9, 4.1),
+        Point2::new(8.0, 4.3),
+        Point2::new(8.2, 4.5),
+        Point2::new(8.4, 4.2),
+    ]);
+    let readings = sorted_dedup(reader.run(|_| scene.clone(), SESSION_S));
+    let layout = FrameLayout::new(6, 4, FeatureMode::Joint);
+    let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(6, 4), FRAME_S);
+    let mut ex = StreamExtractor::try_new(
+        &builder,
+        StreamingExtract {
+            refresh_every: REFRESH_EVERY,
+        },
+    )
+    .expect("joint layout at an aligned frame length supports streaming");
+    for r in &readings {
+        ex.ingest(r);
+    }
+    let mut worst = 0.0f64;
+    for k in 0..LONG_N_WINDOWS {
+        let t0 = k as f64 * HOP_S;
+        let (streamed, _) = ex.extract(t0);
+        let (batch, _) = builder.build_frame_with_quality(&readings, t0);
+        assert_eq!(streamed.len(), batch.len());
+        for (s, b) in streamed.iter().zip(&batch) {
+            worst = worst.max((f64::from(*s) - f64::from(*b)).abs());
+        }
+    }
+    assert!(worst <= BAND, "worst |Δ| {worst:.2e} out of band");
 }
 
 /// A fixed clean two-tag reader stream, built once (the reader
