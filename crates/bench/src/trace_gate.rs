@@ -20,7 +20,7 @@
 //! 5. **Overhead**: at 1-in-[`OVERHEAD_SAMPLE_N`] head sampling the
 //!    serve tick loop must stay within [`MAX_OVERHEAD`] of its
 //!    tracing-off rate (best-of-[`OVERHEAD_PASSES`] on both sides, so
-//!    scheduler noise cancels the way it does in the serve bench).
+//!    scheduler noise cancels on both sides).
 //!
 //! Every check is absolute (no baseline JSON): the contract either
 //! holds on this machine or it does not.
