@@ -90,7 +90,13 @@ impl SpectrumFallback {
         for t in 0..self.layout.n_tags {
             let ((s0, s1), (d0, d1)) = self.regions(t);
             if quality.tag_coverage[t] > 0.0 {
-                self.last[t] = Some((frame[s0..s1].to_vec(), frame[d0..d1].to_vec()));
+                match &mut self.last[t] {
+                    Some((spec, direct)) => {
+                        spec.copy_from_slice(&frame[s0..s1]);
+                        direct.copy_from_slice(&frame[d0..d1]);
+                    }
+                    empty => *empty = Some((frame[s0..s1].to_vec(), frame[d0..d1].to_vec())),
+                }
                 self.age[t] = 0;
                 continue;
             }
