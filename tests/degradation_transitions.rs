@@ -147,3 +147,53 @@ fn recovery_hysteresis_waits_for_the_full_streak() {
     );
     assert_eq!(window.health(), HealthState::Healthy);
 }
+
+#[test]
+fn stale_timing_does_not_depend_on_the_history_length() {
+    // A 1.3-s gap is shorter than the default 2.0-s stale timeout, so
+    // the silent windows are Degraded, never Stale — whether the read
+    // buffer keeps one frame of history or twelve. The session must
+    // emit the same events, bit for bit, at every history length.
+    let scene = SceneSnapshot::with_tags(vec![Point2::new(4.4, 3.0)]);
+    let clean = {
+        let mut reader = Reader::new(Room::hall(), ReaderConfig::default(), 1);
+        reader.run(|_| scene.clone(), 6.0)
+    };
+    let stream: Vec<TagReading> = clean
+        .into_iter()
+        .filter(|r| !(2.0..3.3).contains(&r.time_s))
+        .collect();
+    let layout = FrameLayout::new(1, 4, FeatureMode::Joint);
+    let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(1, 4), 0.5);
+    let run = |history: usize| {
+        let mut window = SessionWindow::new(builder.clone(), history, HealthConfig::default());
+        let mut events = Vec::new();
+        window.push(&stream, &mut events);
+        events
+            .into_iter()
+            .map(|ev| match ev {
+                WindowEvent::Stale { time_s } => format!("{time_s}:STALE"),
+                WindowEvent::Frame {
+                    time_s,
+                    frame,
+                    health,
+                } => {
+                    let bits: Vec<u32> = frame.iter().map(|v| v.to_bits()).collect();
+                    format!("{time_s}:{health:?}:{bits:?}")
+                }
+            })
+            .collect::<Vec<_>>()
+    };
+    let reference = run(12);
+    assert!(
+        reference.iter().all(|e| !e.contains("STALE")),
+        "a gap shorter than the timeout must not go stale"
+    );
+    assert!(
+        reference.iter().any(|e| e.contains("Degraded")),
+        "the silent windows are degraded"
+    );
+    for history in [1, 2, 6] {
+        assert_eq!(run(history), reference, "history {history}");
+    }
+}
