@@ -21,7 +21,7 @@ use crate::{Complex, DspError};
 /// let w = eye.mul(&v).unwrap();
 /// assert_eq!(w[(2, 0)], Complex::new(2.0, 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,
