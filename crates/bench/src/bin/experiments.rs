@@ -78,15 +78,6 @@ fn main() {
             "robustness" => {
                 m2ai_bench::robustness::run_and_write(budget, "BENCH_robustness.json", 2026);
             }
-            "quant" => {
-                if args.iter().any(|a| a == "--check") {
-                    if !m2ai_bench::quant::check(budget, "BENCH_quant.json") {
-                        std::process::exit(1);
-                    }
-                } else {
-                    m2ai_bench::quant::run_and_write(budget, "BENCH_quant.json");
-                }
-            }
             "chaos" => {
                 if args.iter().any(|a| a == "--check") {
                     if !m2ai_bench::chaos::check("BENCH_chaos.json") {
@@ -112,7 +103,7 @@ fn main() {
             other => {
                 eprintln!("unknown experiment '{other}'");
                 eprintln!(
-                    "known: all fig2 fig3 fig9 table1 fig10..fig17 ablation-aoa ext-transfer robustness quant chaos obs trace; flags --fast --check --metrics-out <path> --trace-out <path>"
+                    "known: all fig2 fig3 fig9 table1 fig10..fig17 ablation-aoa ext-transfer robustness chaos obs trace; flags --fast --check --metrics-out <path> --trace-out <path>"
                 );
                 std::process::exit(2);
             }

@@ -9,7 +9,6 @@
 
 pub mod chaos;
 pub mod obs;
-pub mod quant;
 pub mod robustness;
 pub mod trace_gate;
 

@@ -39,7 +39,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "m2ai_par_tasks_total",
     "m2ai_motion_catalog_builds_total",
     "m2ai_kernels_gemm_seconds",
-    "m2ai_kernels_quant_calib_absmax",
     "m2ai_nn_fit_epochs_total",
     "m2ai_nn_batches_skipped_total",
     "m2ai_nn_rollbacks_total",
@@ -102,7 +101,6 @@ const NONZERO_HISTOGRAMS: &[&str] = &[
     "m2ai_extract_stage_seconds",
     "m2ai_extract_stream_scan_seconds",
     "m2ai_kernels_gemm_seconds",
-    "m2ai_kernels_quant_calib_absmax",
     "m2ai_nn_forward_seconds",
     "m2ai_core_frame_coverage_ratio",
     "m2ai_serve_batch_size",
@@ -283,10 +281,6 @@ pub fn smoke_workload() {
     );
     let mut scratch = m2ai_kernels::KernelScratch::new();
     let _ = model.predict_proba_with(&samples[0].0, &mut scratch);
-
-    // One calibration pass (quant range histograms).
-    let mut qmodel = model.clone();
-    qmodel.prepare_quantized(samples.iter().map(|(frames, _)| frames.as_slice()));
 }
 
 /// Checks the live registry against the golden metric list. Returns

@@ -153,9 +153,7 @@ pub struct ServeConfig {
     ///
     /// It seeds the engine's own [`KernelScratch`], so engines (and
     /// fabric shards) with different backends run side by side in one
-    /// process without affecting each other. Int8 inference is chosen
-    /// by the model, not here: a model prepared with
-    /// `SequenceClassifier::prepare_quantized` runs int8 on any backend.
+    /// process without affecting each other.
     pub backend: m2ai_kernels::Backend,
     /// Streaming incremental extraction for the raw-readings path.
     ///

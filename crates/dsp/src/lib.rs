@@ -45,9 +45,7 @@
 
 mod complex;
 pub mod eigen;
-pub mod esprit;
 pub mod fft;
-pub mod filter;
 pub mod matrix;
 pub mod music;
 pub mod periodogram;

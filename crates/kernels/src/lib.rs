@@ -33,8 +33,7 @@
 //! process-wide setting: the NN layers pass the backend of the
 //! [`KernelScratch`] they are handed, so two engines (or a benchmark
 //! and its reference run) can use different backends side by side in
-//! one process. Int8 inference is not a backend — a layer with frozen
-//! [`quant`] state runs its int8 kernels whatever backend it is given.
+//! one process.
 //!
 //! ## Scratch arenas
 //!
@@ -52,7 +51,6 @@ use std::cell::RefCell;
 
 pub mod fast;
 pub mod im2col;
-pub mod quant;
 pub mod reference;
 
 /// Which kernel implementation the top-level dispatchers use.

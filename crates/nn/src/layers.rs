@@ -29,8 +29,7 @@
 //! dispatch on the [`m2ai_kernels::Backend`] of the [`KernelScratch`]
 //! they are handed (fast blocked kernels by default, the seed's naive
 //! loops under `Backend::Reference`, where `Conv1d` walks each row's
-//! windows). A layer with frozen int8 state runs its int8 kernels on
-//! any backend. Every layer offers `*_with` variants taking the
+//! windows). Every layer offers `*_with` variants taking the
 //! scratch, so hot callers (`fit()`, the serving engine) choose the
 //! backend and reuse im2col/packing buffers instead of allocating per
 //! call; the plain signatures delegate to the thread-local `Fast`
@@ -39,23 +38,7 @@
 use crate::init::he_uniform;
 use crate::Parameterized;
 use m2ai_kernels::im2col::{col2im_accumulate, im2col};
-use m2ai_kernels::{self as kernels, quant, Backend, KernelScratch};
-
-/// Frozen int8 inference state of a linear layer: per-output-channel
-/// quantized weights plus the calibrated per-tensor input scale.
-///
-/// Built by the layer's `freeze_quant` after a calibration pass;
-/// while present, the forward paths run int8 on every backend.
-/// Training never reads or updates it — after any weight update the
-/// owner must re-run calibration/freeze for the state to be
-/// meaningful.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantState {
-    /// Per-row symmetric int8 weights.
-    pub qw: quant::QuantizedMatrix,
-    /// Per-tensor activation scale frozen from calibration.
-    pub x_scale: f32,
-}
+use m2ai_kernels::{self as kernels, Backend, KernelScratch};
 
 /// A fully-connected layer `y = Wx + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,10 +50,6 @@ pub struct Dense {
     b: Vec<f32>,
     gw: Vec<f32>,
     gb: Vec<f32>,
-    /// Max-abs input seen by the calibration pass.
-    calib_in: f32,
-    /// Frozen int8 state; `None` until `freeze_quant`.
-    quant: Option<QuantState>,
 }
 
 impl Dense {
@@ -83,56 +62,7 @@ impl Dense {
             b: vec![0.0; out_dim],
             gw: vec![0.0; in_dim * out_dim],
             gb: vec![0.0; out_dim],
-            calib_in: 0.0,
-            quant: None,
         }
-    }
-
-    /// Calibration: absorbs the max-abs of one input (or a whole
-    /// row-major batch of inputs) this layer would see at inference.
-    pub fn observe(&mut self, xs: &[f32]) {
-        self.calib_in = self.calib_in.max(quant::max_abs(xs));
-    }
-
-    /// Freezes int8 inference state from the current weights and the
-    /// calibrated input range.
-    pub fn freeze_quant(&mut self) {
-        quant::record_calibration("dense", self.calib_in);
-        self.quant = Some(QuantState {
-            qw: quant::quantize_rows(&self.w, self.out_dim, self.in_dim),
-            x_scale: quant::activation_scale(self.calib_in),
-        });
-    }
-
-    /// Drops quantized state and calibration statistics.
-    pub fn clear_quant(&mut self) {
-        self.calib_in = 0.0;
-        self.quant = None;
-    }
-
-    /// True once `freeze_quant` has produced int8 state.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// The int8 path for a `rows × in_dim` batch: quantize activations
-    /// with the frozen per-tensor scale, accumulate i8×i8 in i32, and
-    /// dequantize once per output with the per-channel weight scale
-    /// and the f32 bias.
-    fn forward_quant(&self, q: &QuantState, xs: &[f32], rows: usize, out: &mut [f32]) {
-        let mut xi8 = Vec::new();
-        quant::quantize_into(xs, q.x_scale, &mut xi8);
-        let mut acc = vec![0i32; rows * self.out_dim];
-        quant::gemm_i8_nt(rows, self.out_dim, self.in_dim, &xi8, &q.qw.q, &mut acc);
-        quant::dequant_nt(
-            rows,
-            self.out_dim,
-            &acc,
-            q.x_scale,
-            &q.qw.scales,
-            Some(&self.b),
-            out,
-        );
     }
 
     /// Input dimension.
@@ -181,10 +111,6 @@ impl Dense {
             "Dense batch input size mismatch"
         );
         let mut ys = scratch.take(rows * self.out_dim);
-        if let Some(q) = &self.quant {
-            self.forward_quant(q, xs, rows, &mut ys);
-            return ys;
-        }
         let (n_out, n_in) = (self.out_dim, self.in_dim);
         kernels::gemm_nt(scratch.backend(), rows, n_out, n_in, xs, &self.w, &mut ys);
         for row in ys.chunks_exact_mut(self.out_dim) {
@@ -259,10 +185,6 @@ pub struct Conv1d {
     b: Vec<f32>,
     gw: Vec<f32>,
     gb: Vec<f32>,
-    /// Max-abs input seen by the calibration pass.
-    calib_in: f32,
-    /// Frozen int8 state; `None` until `freeze_quant`.
-    quant: Option<QuantState>,
 }
 
 impl Conv1d {
@@ -293,37 +215,7 @@ impl Conv1d {
             b: vec![0.0; c_out],
             gw: vec![0.0; c_out * c_in * kernel],
             gb: vec![0.0; c_out],
-            calib_in: 0.0,
-            quant: None,
         }
-    }
-
-    /// Calibration: absorbs the max-abs of one input frame.
-    pub fn observe(&mut self, x: &[f32]) {
-        self.calib_in = self.calib_in.max(quant::max_abs(x));
-    }
-
-    /// Freezes int8 inference state from the current weights and the
-    /// calibrated input range. Weight rows are the `c_out` filters
-    /// over the `c_in·kernel` im2col reduction axis, so per-row
-    /// quantization is per-output-channel.
-    pub fn freeze_quant(&mut self) {
-        quant::record_calibration("conv", self.calib_in);
-        self.quant = Some(QuantState {
-            qw: quant::quantize_rows(&self.w, self.c_out, self.c_in * self.kernel),
-            x_scale: quant::activation_scale(self.calib_in),
-        });
-    }
-
-    /// Drops quantized state and calibration statistics.
-    pub fn clear_quant(&mut self) {
-        self.calib_in = 0.0;
-        self.quant = None;
-    }
-
-    /// True once `freeze_quant` has produced int8 state.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
     }
 
     /// Output length along the convolved axis.
@@ -369,10 +261,8 @@ impl Conv1d {
     /// columns `r·len_out..`), so the whole batch is one
     /// `[c_out × c_in·kernel]` GEMM seeded with the bias. Each output
     /// keeps the `(ci, k)` accumulation order of the naive loop, which
-    /// `Backend::Reference` still runs row by row; with frozen int8
-    /// state (on any backend) the shared columns are quantized once
-    /// with the layer's per-tensor scale. Either way a batch is
-    /// bit-identical to its rows run one at a time.
+    /// `Backend::Reference` still runs row by row. Either way a batch
+    /// is bit-identical to its rows run one at a time.
     ///
     /// # Panics
     ///
@@ -386,7 +276,7 @@ impl Conv1d {
         let in_dim = self.in_dim();
         let out_dim = self.out_dim();
         assert_eq!(xs.len(), rows * in_dim, "Conv1d input size mismatch");
-        if self.quant.is_none() && scratch.backend() == Backend::Reference {
+        if scratch.backend() == Backend::Reference {
             let mut ys = scratch.take(rows * out_dim);
             for (x, y) in xs.chunks_exact(in_dim).zip(ys.chunks_exact_mut(out_dim)) {
                 self.forward_reference(x, y);
@@ -408,31 +298,10 @@ impl Conv1d {
         );
         // Channel-major over the whole batch: `[c_out × rows·len_out]`.
         let mut yc = scratch.take(self.c_out * n);
-        match &self.quant {
-            Some(q) => {
-                // Quantize the im2col activations once; the filters are
-                // already int8. Integer accumulation, one f32 epilogue.
-                let mut ci8 = Vec::new();
-                quant::quantize_into(&cols, q.x_scale, &mut ci8);
-                let mut acc = vec![0i32; self.c_out * n];
-                quant::gemm_i8_nn(self.c_out, n, r, &q.qw.q, &ci8, &mut acc);
-                quant::dequant_nn(
-                    self.c_out,
-                    n,
-                    &acc,
-                    q.x_scale,
-                    &q.qw.scales,
-                    Some(&self.b),
-                    &mut yc,
-                );
-            }
-            None => {
-                for (o, row) in yc.chunks_exact_mut(n).enumerate() {
-                    row.fill(self.b[o]);
-                }
-                kernels::gemm_nn(scratch.backend(), self.c_out, n, r, &self.w, &cols, &mut yc);
-            }
+        for (o, row) in yc.chunks_exact_mut(n).enumerate() {
+            row.fill(self.b[o]);
         }
+        kernels::gemm_nn(scratch.backend(), self.c_out, n, r, &self.w, &cols, &mut yc);
         scratch.recycle(cols);
         if rows == 1 {
             return yc;
@@ -673,35 +542,6 @@ impl Layer {
         kernels::with_thread_scratch(|s| self.backward_batch_with(x, grad_out, 1, s))
     }
 
-    /// Forward pass that also feeds this layer's calibration
-    /// statistics (max-abs input range) for int8 quantization.
-    fn calibrate_forward_with(&mut self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
-        match self {
-            Layer::Dense(d) => d.observe(x),
-            Layer::Conv1d(c) => c.observe(x),
-            Layer::Relu => {}
-        }
-        self.forward_batch_with(x, 1, scratch)
-    }
-
-    /// Freezes int8 state on every parameterized layer.
-    fn freeze_quant(&mut self) {
-        match self {
-            Layer::Dense(d) => d.freeze_quant(),
-            Layer::Conv1d(c) => c.freeze_quant(),
-            Layer::Relu => {}
-        }
-    }
-
-    /// Drops int8 state and calibration statistics.
-    fn clear_quant(&mut self) {
-        match self {
-            Layer::Dense(d) => d.clear_quant(),
-            Layer::Conv1d(c) => c.clear_quant(),
-            Layer::Relu => {}
-        }
-    }
-
     /// Backward pass over `rows` stacked `(x, grad_out)` pairs; returns
     /// the stacked `∂L/∂x`.
     fn backward_batch_with(
@@ -863,34 +703,6 @@ impl Sequential {
         grad
     }
 
-    /// Forward pass that feeds each layer's int8 calibration
-    /// statistics as the activations flow through. Must run before
-    /// `freeze_quant` (or after `clear_quant`), so the arithmetic is the
-    /// plain f32 forward.
-    pub fn calibrate_forward_with(&mut self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
-        let mut cur = scratch.take(x.len());
-        cur.copy_from_slice(x);
-        for l in &mut self.layers {
-            let next = l.calibrate_forward_with(&cur, scratch);
-            scratch.recycle(std::mem::replace(&mut cur, next));
-        }
-        cur
-    }
-
-    /// Freezes int8 state on every parameterized layer.
-    pub fn freeze_quant(&mut self) {
-        for l in &mut self.layers {
-            l.freeze_quant();
-        }
-    }
-
-    /// Drops int8 state and calibration statistics on every layer.
-    pub fn clear_quant(&mut self) {
-        for l in &mut self.layers {
-            l.clear_quant();
-        }
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -1027,31 +839,6 @@ impl TwoBranchEncoder {
             row[feat..].copy_from_slice(&xs[r * dim + self.split..(r + 1) * dim]);
         }
         merged
-    }
-
-    /// Forward pass that feeds both branches' int8 calibration
-    /// statistics; see [`Sequential::calibrate_forward_with`].
-    pub fn calibrate_forward_with(&mut self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
-        let spec = self.spectrum_rows(x, 1, scratch);
-        let feat = self.branch.calibrate_forward_with(&spec, scratch);
-        scratch.recycle(spec);
-        let merged = self.merge_rows(&feat, x, 1, scratch);
-        scratch.recycle(feat);
-        let out = self.merge.calibrate_forward_with(&merged, scratch);
-        scratch.recycle(merged);
-        out
-    }
-
-    /// Freezes int8 state on both branches.
-    pub fn freeze_quant(&mut self) {
-        self.branch.freeze_quant();
-        self.merge.freeze_quant();
-    }
-
-    /// Drops int8 state and calibration statistics on both branches.
-    pub fn clear_quant(&mut self) {
-        self.branch.clear_quant();
-        self.merge.clear_quant();
     }
 
     /// Caching forward pass.

@@ -9,11 +9,9 @@
 //! ## Kernel backends
 //!
 //! The gate matmuls dispatch on the [`m2ai_kernels::Backend`] of the
-//! [`KernelScratch`] each pass is handed, and run int8 on any backend
-//! once `freeze_quant` has frozen quantized weights. The fast path
-//! batches `W·x_t` for the whole sequence into one `[T × 4H]` GEMM,
-//! runs each step's
-//! recurrent `U·h_{t-1}` as a fused `[4H × H]` GEMV continuing the
+//! [`KernelScratch`] each pass is handed. The fast path batches
+//! `W·x_t` for the whole sequence into one `[T × 4H]` GEMM, runs each
+//! step's recurrent `U·h_{t-1}` as a fused `[4H × H]` GEMV continuing the
 //! same accumulator, and folds BPTT's weight-gradient outer products
 //! into two `[4H × T]·[T × dim]` GEMMs after the time loop —
 //! preserving the reference accumulation order (ascending inputs,
@@ -21,7 +19,7 @@
 
 use crate::init::xavier_uniform;
 use crate::Parameterized;
-use m2ai_kernels::{self as kernels, quant, Backend, KernelScratch};
+use m2ai_kernels::{self as kernels, Backend, KernelScratch};
 
 #[inline]
 fn sigmoid(x: f32) -> f32 {
@@ -46,28 +44,6 @@ pub struct Lstm {
     gw: Vec<f32>,
     gu: Vec<f32>,
     gb: Vec<f32>,
-    /// Max-abs input frame seen by the calibration pass.
-    calib_x: f32,
-    /// Max-abs hidden state seen by the calibration pass.
-    calib_h: f32,
-    /// Frozen int8 state; `None` until `freeze_quant`.
-    quant: Option<QuantLstm>,
-}
-
-/// Frozen int8 inference state of an LSTM layer. The input and
-/// recurrent matmuls carry separate activation scales (`x` ranges are
-/// encoder features, `h` is tanh-bounded), each with per-gate-row
-/// weight scales.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantLstm {
-    /// Input weights `4H × in_dim`, quantized per row.
-    pub qw: quant::QuantizedMatrix,
-    /// Recurrent weights `4H × H`, quantized per row.
-    pub qu: quant::QuantizedMatrix,
-    /// Per-tensor scale of input frames.
-    pub x_scale: f32,
-    /// Per-tensor scale of hidden states.
-    pub h_scale: f32,
 }
 
 /// Per-timestep saved activations.
@@ -107,47 +83,7 @@ impl Lstm {
             gw: vec![0.0; 4 * hidden * in_dim],
             gu: vec![0.0; 4 * hidden * hidden],
             gb: vec![0.0; 4 * hidden],
-            calib_x: 0.0,
-            calib_h: 0.0,
-            quant: None,
         }
-    }
-
-    /// Calibration: absorbs the activation ranges of one sequence —
-    /// the input frames this layer saw and the hidden states it
-    /// produced (`outputs` from the same forward pass).
-    pub fn observe_sequence(&mut self, xs: &[Vec<f32>], outputs: &[Vec<f32>]) {
-        for x in xs {
-            self.calib_x = self.calib_x.max(quant::max_abs(x));
-        }
-        for o in outputs {
-            self.calib_h = self.calib_h.max(quant::max_abs(o));
-        }
-    }
-
-    /// Freezes int8 inference state from the current weights and the
-    /// calibrated input/hidden ranges.
-    pub fn freeze_quant(&mut self) {
-        quant::record_calibration("lstm_x", self.calib_x);
-        quant::record_calibration("lstm_h", self.calib_h);
-        self.quant = Some(QuantLstm {
-            qw: quant::quantize_rows(&self.w, 4 * self.hidden, self.in_dim),
-            qu: quant::quantize_rows(&self.u, 4 * self.hidden, self.hidden),
-            x_scale: quant::activation_scale(self.calib_x),
-            h_scale: quant::activation_scale(self.calib_h),
-        });
-    }
-
-    /// Drops quantized state and calibration statistics.
-    pub fn clear_quant(&mut self) {
-        self.calib_x = 0.0;
-        self.calib_h = 0.0;
-        self.quant = None;
-    }
-
-    /// True once `freeze_quant` has produced int8 state.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
     }
 
     /// Input dimension.
@@ -178,9 +114,6 @@ impl Lstm {
     /// exactly the reference chaining (inputs before recurrence,
     /// bias outermost).
     pub fn forward_sequence_with(&self, xs: &[Vec<f32>], scratch: &mut KernelScratch) -> LstmCache {
-        if let Some(q) = &self.quant {
-            return self.forward_sequence_quant(q, xs, scratch);
-        }
         let backend = scratch.backend();
         if backend == Backend::Reference || xs.is_empty() {
             return self.forward_sequence_reference(xs);
@@ -232,78 +165,6 @@ impl Lstm {
         }
         scratch.recycle(zbuf);
         scratch.recycle(zw);
-        scratch.recycle(xflat);
-        LstmCache { steps, outputs }
-    }
-
-    /// The int8 sequence path: `W·x` for the whole sequence is one
-    /// i8 GEMM (activations quantized once with the frozen `x_scale`);
-    /// each step quantizes `h_{t-1}` with `h_scale`, runs the
-    /// recurrent i8 GEMV, and combines both integer accumulators in a
-    /// single f32 dequant before the gate math. Identical arithmetic
-    /// to [`Lstm::step_batch_with`]'s quant branch, so streaming and
-    /// replay agree bit-for-bit on a quantized layer too.
-    fn forward_sequence_quant(
-        &self,
-        q: &QuantLstm,
-        xs: &[Vec<f32>],
-        scratch: &mut KernelScratch,
-    ) -> LstmCache {
-        let h = self.hidden;
-        let t_len = xs.len();
-        let mut xflat = scratch.take(t_len * self.in_dim);
-        for (t, x) in xs.iter().enumerate() {
-            assert_eq!(x.len(), self.in_dim, "LSTM input size mismatch");
-            xflat[t * self.in_dim..(t + 1) * self.in_dim].copy_from_slice(x);
-        }
-        let mut xi8 = Vec::new();
-        quant::quantize_into(&xflat, q.x_scale, &mut xi8);
-        let mut zw = vec![0i32; t_len * 4 * h];
-        quant::gemm_i8_nt(t_len, 4 * h, self.in_dim, &xi8, &q.qw.q, &mut zw);
-        let mut hi8 = Vec::new();
-        let mut zu = vec![0i32; 4 * h];
-        let mut zbuf = scratch.take(4 * h);
-        let mut h_prev = vec![0.0; h];
-        let mut c_prev = vec![0.0; h];
-        let mut steps = Vec::with_capacity(t_len);
-        let mut outputs = Vec::with_capacity(t_len);
-        for (t, x) in xs.iter().enumerate() {
-            quant::quantize_into(&h_prev, q.h_scale, &mut hi8);
-            zu.fill(0);
-            quant::gemm_i8_nt(1, 4 * h, h, &hi8, &q.qu.q, &mut zu);
-            for k in 0..4 * h {
-                zbuf[k] = zw[t * 4 * h + k] as f32 * (q.x_scale * q.qw.scales[k])
-                    + zu[k] as f32 * (q.h_scale * q.qu.scales[k]);
-            }
-            let mut i = vec![0.0; h];
-            let mut f = vec![0.0; h];
-            let mut g = vec![0.0; h];
-            let mut o = vec![0.0; h];
-            let mut c = vec![0.0; h];
-            let mut h_new = vec![0.0; h];
-            for k in 0..h {
-                i[k] = sigmoid(self.b[k] + zbuf[k]);
-                f[k] = sigmoid(self.b[h + k] + zbuf[h + k]);
-                g[k] = (self.b[2 * h + k] + zbuf[2 * h + k]).tanh();
-                o[k] = sigmoid(self.b[3 * h + k] + zbuf[3 * h + k]);
-                c[k] = f[k] * c_prev[k] + i[k] * g[k];
-                h_new[k] = o[k] * c[k].tanh();
-            }
-            steps.push(StepCache {
-                x: x.clone(),
-                h_prev: h_prev.clone(),
-                c_prev: c_prev.clone(),
-                i,
-                f,
-                g,
-                o,
-                c: c.clone(),
-            });
-            outputs.push(h_new.clone());
-            h_prev = h_new;
-            c_prev = c;
-        }
-        scratch.recycle(zbuf);
         scratch.recycle(xflat);
         LstmCache { steps, outputs }
     }
@@ -390,31 +251,9 @@ impl Lstm {
         assert_eq!(h.len(), batch * hd, "LSTM step hidden-state mismatch");
         assert_eq!(c.len(), batch * hd, "LSTM step cell-state mismatch");
         let mut z = scratch.take(batch * 4 * hd);
-        if let Some(q) = &self.quant {
-            // Same arithmetic as `forward_sequence_quant`: integer
-            // accumulators for W·x and U·h, combined in one f32
-            // dequant — so a quantized stream matches a quantized
-            // replay bit-for-bit.
-            let mut xi8 = Vec::new();
-            quant::quantize_into(xs, q.x_scale, &mut xi8);
-            let mut accx = vec![0i32; batch * 4 * hd];
-            quant::gemm_i8_nt(batch, 4 * hd, self.in_dim, &xi8, &q.qw.q, &mut accx);
-            let mut hi8 = Vec::new();
-            quant::quantize_into(h, q.h_scale, &mut hi8);
-            let mut acch = vec![0i32; batch * 4 * hd];
-            quant::gemm_i8_nt(batch, 4 * hd, hd, &hi8, &q.qu.q, &mut acch);
-            for r in 0..batch {
-                for k in 0..4 * hd {
-                    let idx = r * 4 * hd + k;
-                    z[idx] = accx[idx] as f32 * (q.x_scale * q.qw.scales[k])
-                        + acch[idx] as f32 * (q.h_scale * q.qu.scales[k]);
-                }
-            }
-        } else {
-            let backend = scratch.backend();
-            kernels::gemm_nt(backend, batch, 4 * hd, self.in_dim, xs, &self.w, &mut z);
-            kernels::gemm_nt(backend, batch, 4 * hd, hd, h, &self.u, &mut z);
-        }
+        let backend = scratch.backend();
+        kernels::gemm_nt(backend, batch, 4 * hd, self.in_dim, xs, &self.w, &mut z);
+        kernels::gemm_nt(backend, batch, 4 * hd, hd, h, &self.u, &mut z);
         for r in 0..batch {
             let zrow = &z[r * 4 * hd..(r + 1) * 4 * hd];
             let hrow = &mut h[r * hd..(r + 1) * hd];
@@ -748,39 +587,6 @@ impl LstmStack {
             scratch.recycle(cmat);
         }
         cur
-    }
-
-    /// Forward over a sequence that also feeds each layer's int8
-    /// calibration statistics (input-frame and hidden-state ranges).
-    /// Returns the top layer's outputs so the caller can keep
-    /// calibrating downstream layers. Must run before `freeze_quant`
-    /// (or after `clear_quant`), so the forward is the f32 one.
-    pub fn calibrate_sequence_with(
-        &mut self,
-        xs: &[Vec<f32>],
-        scratch: &mut KernelScratch,
-    ) -> Vec<Vec<f32>> {
-        let mut cur: Vec<Vec<f32>> = xs.to_vec();
-        for l in &mut self.layers {
-            let cache = l.forward_sequence_with(&cur, scratch);
-            l.observe_sequence(&cur, &cache.outputs);
-            cur = cache.outputs;
-        }
-        cur
-    }
-
-    /// Freezes int8 state on every layer.
-    pub fn freeze_quant(&mut self) {
-        for l in &mut self.layers {
-            l.freeze_quant();
-        }
-    }
-
-    /// Drops int8 state and calibration statistics on every layer.
-    pub fn clear_quant(&mut self) {
-        for l in &mut self.layers {
-            l.clear_quant();
-        }
     }
 
     /// Backward over a sequence; returns `∂L/∂x_t`.

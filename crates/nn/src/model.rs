@@ -118,31 +118,6 @@ impl Encoder {
         }
     }
 
-    /// Forward pass that also feeds the layers' int8 calibration
-    /// statistics; see [`Sequential::calibrate_forward_with`].
-    pub fn calibrate_forward_with(&mut self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
-        match self {
-            Encoder::Sequential(s) => s.calibrate_forward_with(x, scratch),
-            Encoder::TwoBranch(t) => t.calibrate_forward_with(x, scratch),
-        }
-    }
-
-    /// Freezes int8 state on every parameterized layer.
-    pub fn freeze_quant(&mut self) {
-        match self {
-            Encoder::Sequential(s) => s.freeze_quant(),
-            Encoder::TwoBranch(t) => t.freeze_quant(),
-        }
-    }
-
-    /// Drops int8 state and calibration statistics.
-    pub fn clear_quant(&mut self) {
-        match self {
-            Encoder::Sequential(s) => s.clear_quant(),
-            Encoder::TwoBranch(t) => t.clear_quant(),
-        }
-    }
-
     /// Caching forward pass.
     pub fn forward_cached(&self, x: &[f32]) -> (Vec<f32>, EncoderCache) {
         kernels::with_thread_scratch(|s| self.forward_cached_with(x, s))
@@ -755,67 +730,6 @@ impl SequenceClassifier {
         }
     }
 
-    /// Runs one calibration sequence through the model, feeding every
-    /// quantization site's activation-range statistics.
-    fn calibrate_with(&mut self, frames: &[Vec<f32>], scratch: &mut KernelScratch) {
-        let feats: Vec<Vec<f32>> = frames
-            .iter()
-            .map(|f| self.encoder.calibrate_forward_with(f, scratch))
-            .collect();
-        let reps = match &mut self.lstm {
-            Some(stack) => stack.calibrate_sequence_with(&feats, scratch),
-            None => feats,
-        };
-        for rep in &reps {
-            self.head.observe(rep);
-        }
-    }
-
-    /// Prepares the model for int8 inference: clears any stale int8
-    /// state, runs the calibration sequences through the f32 network
-    /// (on the thread's `Fast` scratch) to freeze per-tensor activation
-    /// scales, then quantizes every weight matrix per-output-channel.
-    ///
-    /// This is the only switch: once prepared, every inference pass
-    /// runs the int8 kernels on whatever backend its scratch carries,
-    /// until [`SequenceClassifier::clear_quant`] restores bitwise f32.
-    /// Quantized state is a pure inference sidecar: a training pass
-    /// drops it (see [`SequenceClassifier::loss_and_backprop_with`]) and
-    /// checkpoint loads do not refresh it, so re-run this after either.
-    /// An empty calibration set degrades to unit activation scales
-    /// (weights still quantize from their own range).
-    pub fn prepare_quantized<'a, I>(&mut self, calib: I)
-    where
-        I: IntoIterator<Item = &'a [Vec<f32>]>,
-    {
-        self.clear_quant();
-        kernels::with_thread_scratch(|scratch| {
-            for frames in calib {
-                self.calibrate_with(frames, scratch);
-            }
-        });
-        self.encoder.freeze_quant();
-        if let Some(stack) = &mut self.lstm {
-            stack.freeze_quant();
-        }
-        self.head.freeze_quant();
-    }
-
-    /// Drops all int8 state; the model serves pure f32 again.
-    pub fn clear_quant(&mut self) {
-        self.encoder.clear_quant();
-        if let Some(stack) = &mut self.lstm {
-            stack.clear_quant();
-        }
-        self.head.clear_quant();
-    }
-
-    /// True once [`SequenceClassifier::prepare_quantized`] has frozen
-    /// int8 state (the head is always quantized when preparation ran).
-    pub fn is_quantized(&self) -> bool {
-        self.head.is_quantized()
-    }
-
     /// Forward + backward for one labelled sequence; accumulates
     /// parameter gradients and returns the mean per-frame loss.
     ///
@@ -832,9 +746,6 @@ impl SequenceClassifier {
     /// and head each run forward *and* backward once over the whole
     /// sequence, bit-identical to running them frame by frame.
     ///
-    /// Drops any int8 state first: the forward must be the f32 one the
-    /// gradients belong to, and the update makes the sidecar stale.
-    ///
     /// # Panics
     ///
     /// Panics if `frames` is empty or `label >= n_classes`.
@@ -846,7 +757,6 @@ impl SequenceClassifier {
     ) -> f32 {
         assert!(!frames.is_empty(), "need at least one frame");
         assert!(label < self.n_classes, "label out of range");
-        self.clear_quant();
 
         // Forward with caches: the encoder runs once over all T frames.
         let t_len = frames.len();
@@ -1271,50 +1181,6 @@ mod tests {
             StreamState::from_bytes(&trailing),
             Err(CheckpointError::Truncated)
         );
-    }
-
-    #[test]
-    fn quantized_inference_tracks_f32() {
-        let m = tiny_model(31);
-        let frames = toy_frames(6);
-        let f32_probs = m.predict_proba(&frames);
-
-        let mut qm = m.clone();
-        assert!(!qm.is_quantized());
-        qm.prepare_quantized(std::iter::once(frames.as_slice()));
-        assert!(qm.is_quantized());
-
-        // Prepared model runs int8 and must stay close in probability.
-        let q_probs = qm.predict_proba(&frames);
-        for (f, q) in f32_probs.iter().zip(&q_probs) {
-            assert!((f - q).abs() < 0.05, "f32 {f} vs int8 {q}");
-        }
-        // Dropping quant state restores bit-exact f32 behaviour.
-        qm.clear_quant();
-        assert!(!qm.is_quantized());
-        assert_eq!(qm.predict_proba(&frames), f32_probs);
-    }
-
-    #[test]
-    fn quantized_stream_matches_quantized_replay_bitwise() {
-        // The stream/replay bitwise contract must survive
-        // quantization: the int8 step and sequence paths share one
-        // dequant formula.
-        let frames = toy_frames(5);
-        for (name, m) in variants(32) {
-            let mut qm = m;
-            qm.prepare_quantized(std::iter::once(frames.as_slice()));
-            let mut state = qm.stream_state(frames.len());
-            let mut last = Vec::new();
-            for f in &frames {
-                last = qm.step(f, &mut state);
-            }
-            assert_eq!(
-                last,
-                qm.predict_proba(&frames),
-                "{name}: quantized stream != quantized replay"
-            );
-        }
     }
 
     #[test]

@@ -132,10 +132,6 @@ fn grads_finite(model: &mut SequenceClassifier) -> bool {
 /// own and re-snapshotting it per batch would double memory traffic.
 /// On clean data the loop is bit-identical to the unguarded one.
 ///
-/// Training starts by dropping any int8 state (see
-/// [`SequenceClassifier::prepare_quantized`]): the forward passes run
-/// in f32, and the trained model comes back unprepared.
-///
 /// # Panics
 ///
 /// Panics if `data` is empty, any sample has no frames, or a label is
@@ -146,7 +142,6 @@ pub fn fit(model: &mut SequenceClassifier, data: &[Sample], cfg: &TrainConfig) -
         assert!(!frames.is_empty(), "sample with no frames");
         assert!(*label < model.n_classes(), "label out of range");
     }
-    model.clear_quant();
     let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.clip_norm).with_weight_decay(cfg.weight_decay);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..data.len()).collect();
@@ -355,31 +350,6 @@ mod tests {
         assert_eq!(report.epoch_losses.len(), 40);
         assert!(report.final_loss().unwrap() < report.epoch_losses[0]);
         assert!(evaluate(&model, &data) > 0.95);
-    }
-
-    #[test]
-    fn training_a_prepared_model_trains_the_f32_model() {
-        // Int8 state is an inference sidecar: training a prepared clone
-        // must run the f32 forward, bit for bit, and drop the sidecar.
-        let data = toy_data(4);
-        for n_threads in [1, 2] {
-            let cfg = TrainConfig {
-                epochs: 3,
-                batch_size: 4,
-                n_threads,
-                ..TrainConfig::default()
-            };
-            let mut plain = toy_model(6);
-            let mut prepared = plain.clone();
-            let calib: Vec<&[Vec<f32>]> = data.iter().map(|(f, _)| f.as_slice()).collect();
-            prepared.prepare_quantized(calib);
-            assert!(prepared.is_quantized());
-            let want = fit(&mut plain, &data, &cfg);
-            let got = fit(&mut prepared, &data, &cfg);
-            assert_eq!(got, want, "{n_threads} threads: epoch losses differ");
-            assert!(!prepared.is_quantized());
-            assert_eq!(prepared, plain, "{n_threads} threads: weights differ");
-        }
     }
 
     #[test]

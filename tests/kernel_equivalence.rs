@@ -16,10 +16,9 @@
 
 use m2ai::core::frames::{FeatureMode, FrameLayout};
 use m2ai::core::network::{build_model, Architecture};
-use m2ai::kernels::{self, fast, quant, reference, Backend, KernelScratch};
+use m2ai::kernels::{self, fast, reference, Backend, KernelScratch};
 use m2ai::nn::layers::{Conv1d, Dense, Layer};
 use m2ai::nn::lstm::Lstm;
-use m2ai::nn::model::Encoder;
 use m2ai::nn::Parameterized;
 use proptest::prelude::*;
 
@@ -119,61 +118,6 @@ proptest! {
         prop_assert!(max_abs_diff(&z_fast, &z_ref) <= TOL);
     }
 
-    /// Per-row symmetric int8 quantization round-trips within half a
-    /// scale step per element, and the i8×i8→i32 GEMM is exact
-    /// integer arithmetic (checked against a naive i32 loop).
-    #[test]
-    fn int8_quantization_round_trips(
-        rows in 1usize..6,
-        cols in 1usize..40,
-        scale_mag in 0.01f32..10.0,
-        seed in any::<u64>(),
-    ) {
-        let w: Vec<f32> = lcg_values(seed, rows * cols)
-            .into_iter()
-            .map(|v| v * scale_mag)
-            .collect();
-        let qm = quant::quantize_rows(&w, rows, cols);
-        prop_assert_eq!(qm.rows, rows);
-        prop_assert_eq!(qm.cols, cols);
-        for r in 0..rows {
-            let s = qm.scales[r];
-            prop_assert!(s > 0.0, "scale must be positive");
-            for c in 0..cols {
-                let back = qm.q[r * cols + c] as f32 * s;
-                prop_assert!(
-                    (w[r * cols + c] - back).abs() <= 0.5 * s + 1e-6,
-                    "row {} col {}: {} vs {} (scale {})",
-                    r, c, w[r * cols + c], back, s
-                );
-            }
-        }
-
-        // Activation quantization: same half-step bound inside the
-        // calibrated range, saturation outside it.
-        let xs: Vec<f32> = lcg_values(seed ^ 0x0dd5, cols)
-            .into_iter()
-            .map(|v| v * scale_mag)
-            .collect();
-        let s = quant::activation_scale(quant::max_abs(&xs));
-        let mut qx = Vec::new();
-        quant::quantize_into(&xs, s, &mut qx);
-        for (x, &q) in xs.iter().zip(&qx) {
-            prop_assert!((x - q as f32 * s).abs() <= 0.5 * s + 1e-6);
-            prop_assert!((-127..=127).contains(&(q as i32)));
-        }
-
-        // The integer GEMM accumulates exactly.
-        let mut acc = vec![0i32; rows];
-        quant::gemm_i8_nt(1, rows, cols, &qx, &qm.q, &mut acc);
-        for (r, &got) in acc.iter().enumerate() {
-            let want: i32 = (0..cols)
-                .map(|c| qx[c] as i32 * qm.q[r * cols + c] as i32)
-                .sum();
-            // Integer dot products must be exact.
-            prop_assert_eq!(got, want);
-        }
-    }
 }
 
 // Large-shape properties get their own (smaller) case budget: each
@@ -367,19 +311,6 @@ fn batched_and_per_row(
     (all, per_row)
 }
 
-/// Per-frame encoder of the network `build_model` assembles, in f32
-/// and with int8 state prepared from `calib` (one frame per row).
-fn encoders_of(layout: &FrameLayout, arch: Architecture, calib: &[f32]) -> (Encoder, Encoder) {
-    let model = build_model(layout, 12, arch, 5);
-    let frames: Vec<Vec<f32>> = calib
-        .chunks_exact(layout.frame_dim())
-        .map(<[f32]>::to_vec)
-        .collect();
-    let mut quantized = model.clone();
-    quantized.prepare_quantized(std::iter::once(frames.as_slice()));
-    (model.encoder, quantized.encoder)
-}
-
 /// Runs one `rows`-row backward into `batched` and `rows` one-row
 /// backwards, in ascending row order, into `per_row` (a copy of the same
 /// layer), after one shared warm-up backward so every gradient chain
@@ -454,7 +385,7 @@ proptest! {
     }
 
     /// `Conv1d`'s one-GEMM batched forward equals its per-row forward
-    /// bit for bit on the fast, reference and int8 (fast-backend) paths.
+    /// bit for bit on the fast and reference paths.
     #[test]
     fn conv1d_batched_is_bitwise_per_row(
         c_in in 1usize..4,
@@ -467,14 +398,10 @@ proptest! {
     ) {
         let len_in = kernel + extra;
         let xs = lcg_values(seed, rows * c_in * len_in);
-        let mut quantized = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
-        quantized.observe(&xs);
-        quantized.freeze_quant();
         let plain = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
         for (path, backend, conv) in [
             ("fast", Backend::Fast, &plain),
             ("reference", Backend::Reference, &plain),
-            ("int8", Backend::Fast, &quantized),
         ] {
             let (all, per_row) = batched_and_per_row(
                 backend,
@@ -490,7 +417,7 @@ proptest! {
     /// The assembled encoder's batched forward equals its per-row
     /// forward bit for bit for every architecture and feature mode
     /// (the degraded modes get dense encoders, `LstmOnly` the identity),
-    /// on the fast, reference and int8 (fast-backend) paths.
+    /// on the fast and reference paths.
     #[test]
     fn encoder_batched_is_bitwise_per_row(
         n_tags in 1usize..3,
@@ -512,11 +439,10 @@ proptest! {
         for (mode, arch) in cases {
             let layout = FrameLayout::new(n_tags, 4, mode);
             let xs = lcg_values(seed, rows * layout.frame_dim());
-            let (plain, quantized) = encoders_of(&layout, arch, &xs);
+            let plain = build_model(&layout, 12, arch, 5).encoder;
             for (path, backend, enc) in [
                 ("fast", Backend::Fast, &plain),
                 ("reference", Backend::Reference, &plain),
-                ("int8", Backend::Fast, &quantized),
             ] {
                 let (all, per_row) = batched_and_per_row(
                     backend,
@@ -534,8 +460,7 @@ proptest! {
     }
 
     /// `Dense`'s batched forward equals its one-row forward bit for bit
-    /// on the fast, reference and int8 (fast-backend) paths, and a `rows`-row backward
-    /// equals `rows` one-row backwards into the same layer (`gw`, `gb`
+    /// on the fast and reference paths, and a `rows`-row backward equals `rows` one-row backwards into the same layer (`gw`, `gb`
     /// and `gx`) on the fast and reference paths.
     #[test]
     fn dense_batched_is_bitwise_per_row(
@@ -547,13 +472,9 @@ proptest! {
         let xs = lcg_values(seed, rows * in_dim);
         let gs = lcg_values(seed ^ 0x0dd5, rows * out_dim);
         let plain = Dense::new(in_dim, out_dim, 42);
-        let mut quantized = plain.clone();
-        quantized.observe(&xs);
-        quantized.freeze_quant();
         for (path, backend, dense) in [
             ("fast", Backend::Fast, &plain),
             ("reference", Backend::Reference, &plain),
-            ("int8", Backend::Fast, &quantized),
         ] {
             let (all, per_row) = batched_and_per_row(
                 backend,
@@ -618,7 +539,7 @@ proptest! {
         ] {
             let layout = FrameLayout::new(n_tags, 4, mode);
             let xs = lcg_values(seed, rows * layout.frame_dim());
-            let (enc, _) = encoders_of(&layout, arch, &xs);
+            let enc = build_model(&layout, 12, arch, 5).encoder;
             let feat = enc.forward(&xs[..layout.frame_dim()]).len();
             let gs = lcg_values(seed ^ 0x0dd5, rows * feat);
             for backend in [Backend::Fast, Backend::Reference] {

@@ -12,7 +12,11 @@
 //! * **slot independence** — a property test over random slot churn,
 //!   arrival interleavings and mid-stream departures: each session's
 //!   predictions depend only on its own frame stream, never on which
-//!   slot it landed in or who it shared ticks with.
+//!   slot it landed in or who it shared ticks with;
+//! * **per-engine backend** — `ServeConfig::backend` is a per-engine
+//!   value: engines on `Reference` and `Fast` run concurrently in one
+//!   process, and each one's predictions equal its solo run bit for
+//!   bit.
 //!
 //! Tolerance is exact equality everywhere — the one *semantic*
 //! divergence (LSTM context retained across windows after the first,
@@ -27,7 +31,7 @@ use m2ai::core::serve::{ServeConfig, ServeEngine, ServePrediction, SessionId};
 use m2ai::kernels::{Backend, KernelScratch};
 use m2ai::nn::model::SequenceClassifier;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 
 /// Sliding window length used throughout the suite.
 const HISTORY: usize = 3;
@@ -258,6 +262,77 @@ proptest! {
                 prop_assert_eq!(got.time_s, want.time_s);
                 prop_assert_eq!(&got.probabilities, &want.probabilities);
             }
+        }
+    }
+}
+
+/// Serves a fixed 4-session, 64-frame stream through one engine on
+/// `backend`, one tick per time step, and returns every prediction in
+/// emission order.
+fn serve_stream(m: &SequenceClassifier, backend: Backend) -> Vec<ServePrediction> {
+    const SESSIONS: usize = 4;
+    const FRAMES_PER_SESSION: usize = 16;
+    let mut eng = ServeEngine::new(
+        m.clone(),
+        builder(),
+        ServeConfig {
+            history_len: HISTORY,
+            backend,
+            ..ServeConfig::default()
+        },
+    );
+    let ids: Vec<SessionId> = (0..SESSIONS)
+        .map(|_| eng.open_session().expect("capacity"))
+        .collect();
+    let mut out = Vec::new();
+    for t in 0..FRAMES_PER_SESSION {
+        for (s, &id) in ids.iter().enumerate() {
+            eng.push_frame(id, t as f64, synth_frame(s as u64, t), HealthState::Healthy)
+                .expect("queue capacity");
+        }
+        out.extend(eng.tick());
+    }
+    out.extend(eng.drain());
+    out
+}
+
+#[test]
+fn engines_on_different_backends_run_concurrently_bitwise() {
+    let m = model(Architecture::CnnLstm);
+    let engines = [("reference", Backend::Reference), ("fast", Backend::Fast)];
+    let solo: Vec<_> = engines.iter().map(|&(_, b)| serve_stream(&m, b)).collect();
+    assert!(
+        solo.iter().all(|s| !s.is_empty()),
+        "every engine must emit once windows fill"
+    );
+    // The backends must really differ, or the comparison below could
+    // not tell one engine's kernels from another's.
+    assert_ne!(solo[0], solo[1], "reference and fast agree bit for bit");
+
+    const ROUNDS: usize = 3;
+    let start = Barrier::new(engines.len());
+    let concurrent: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = engines
+            .iter()
+            .map(|&(_, b)| {
+                let (start, m) = (&start, &m);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..ROUNDS).map(|_| serve_stream(m, b)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("engine thread panicked"))
+            .collect()
+    });
+    for ((name, _), (runs, want)) in engines.iter().zip(concurrent.iter().zip(&solo)) {
+        for (round, got) in runs.iter().enumerate() {
+            assert_eq!(
+                got, want,
+                "{name}: concurrent round {round} differs from its solo run"
+            );
         }
     }
 }
