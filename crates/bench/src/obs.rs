@@ -13,7 +13,6 @@ use m2ai_core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai_core::network::{build_model, Architecture};
 use m2ai_core::online::HealthConfig;
 use m2ai_core::serve::{ServeConfig, ServeEngine};
-use m2ai_core::stream_extract::StreamingExtract;
 use m2ai_obs::export::{
     prometheus_text, snapshot_json, validate_prometheus, validate_snapshot_json,
 };
@@ -33,9 +32,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "m2ai_reader_faults_total",
     "m2ai_dsp_steering_cache_total",
     "m2ai_extract_stage_seconds",
-    "m2ai_extract_stream_updates_total",
-    "m2ai_extract_stream_refreshes_total",
-    "m2ai_extract_stream_scan_seconds",
     "m2ai_par_tasks_total",
     "m2ai_motion_catalog_builds_total",
     "m2ai_kernels_gemm_seconds",
@@ -79,8 +75,6 @@ const NONZERO_COUNTERS: &[&str] = &[
     "m2ai_reader_reads_total",
     "m2ai_reader_faults_total",
     "m2ai_dsp_steering_cache_total",
-    "m2ai_extract_stream_updates_total",
-    "m2ai_extract_stream_refreshes_total",
     "m2ai_par_tasks_total",
     "m2ai_motion_catalog_builds_total",
     "m2ai_nn_fit_epochs_total",
@@ -99,7 +93,6 @@ const NONZERO_COUNTERS: &[&str] = &[
 /// workload.
 const NONZERO_HISTOGRAMS: &[&str] = &[
     "m2ai_extract_stage_seconds",
-    "m2ai_extract_stream_scan_seconds",
     "m2ai_kernels_gemm_seconds",
     "m2ai_nn_forward_seconds",
     "m2ai_core_frame_coverage_ratio",
@@ -121,24 +114,22 @@ pub fn smoke_workload() {
     let _ = m2ai_motion::activity::catalog(2);
 
     let layout = FrameLayout::new(1, 4, FeatureMode::Joint);
-    let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(1, 4), 0.5);
     let model = build_model(&layout, 12, Architecture::CnnLstm, 1);
 
     // Faulty stream with a 3 s gap: Healthy → Degraded/Stale →
-    // recovery, plus reader fault and steering-cache traffic.
+    // recovery, plus reader fault and steering-cache traffic. A
+    // parallelism above 1 sends each window's tags through the
+    // `m2ai-par` pool (one tag, so it stays on this thread), which
+    // lights the par task counter.
     let mut eng = ServeEngine::new(
         model.clone(),
-        builder,
+        FrameBuilder::new(layout, PhaseCalibrator::disabled(1, 4), 0.5).with_parallelism(2),
         ServeConfig {
             history_len: 2,
             health: HealthConfig {
                 stale_timeout_s: 1.0,
                 ..Default::default()
             },
-            // Streaming raw ingest with a short refresh cadence so the
-            // stream add/retire counters, the refresh counter and the
-            // GEMM-scan histogram all fire within the smoke window.
-            streaming: Some(StreamingExtract { refresh_every: 2 }),
             ..ServeConfig::default()
         },
     );

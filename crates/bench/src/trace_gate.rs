@@ -182,7 +182,6 @@ fn check_chaos_spans(w: &Workload) -> Vec<String> {
     // Fresh collector, deterministic IDs, everything sampled, dumps
     // into a throwaway directory keyed by pid.
     let _ = trace::take_spans();
-    trace::clear_exemplars();
     trace::seed_trace_ids(0x712a_ce00_1234_5678);
     trace::set_trace_config(TraceConfig { sample_one_in_n: 1 });
     let dump_dir = std::env::temp_dir().join(format!("m2ai-trace-gate-{}", std::process::id()));

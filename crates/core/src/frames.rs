@@ -39,26 +39,23 @@ static STAGE_SECONDS: m2ai_obs::HistogramFamily = m2ai_obs::HistogramFamily::new
 
 /// A stage label of `m2ai_extract_stage_seconds`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Stage {
+enum Stage {
     /// Snapshot assembly: bucketing, Eq. 1 calibration, phase doubling.
     Calibration,
     /// MUSIC pseudospectrum.
     Music,
     /// Per-antenna periodogram power.
     Periodogram,
-    /// One window of the streaming extractor.
-    StreamWindow,
 }
 
 /// The stage's histogram, resolved once per process: the family's own
 /// lookup takes a lock and a linear search on every call.
-pub(crate) fn stage_seconds(stage: Stage) -> &'static m2ai_obs::Histogram {
-    static HANDLES: [OnceLock<m2ai_obs::Histogram>; 4] = [const { OnceLock::new() }; 4];
+fn stage_seconds(stage: Stage) -> &'static m2ai_obs::Histogram {
+    static HANDLES: [OnceLock<m2ai_obs::Histogram>; 3] = [const { OnceLock::new() }; 3];
     let label = match stage {
         Stage::Calibration => "calibration",
         Stage::Music => "music",
         Stage::Periodogram => "periodogram",
-        Stage::StreamWindow => "stream_window",
     };
     HANDLES[stage as usize].get_or_init(|| STAGE_SECONDS.with(label))
 }
@@ -69,11 +66,9 @@ pub(crate) fn stage_seconds(stage: Stage) -> &'static m2ai_obs::Histogram {
 /// slightly-translated structure instead of 1-bin spikes (MUSIC peaks
 /// are needle-sharp).
 ///
-/// Exactly the arithmetic the batch builder applies, factored out so
-/// the streaming extractor produces bit-identical features from the same
-/// spectrum. Writes `min(power.len(), out.len())` values into `out`;
+/// Writes `min(power.len(), out.len())` values into `out`;
 /// `compressed` is scratch.
-pub(crate) fn spectrum_feature_into(power: &[f64], compressed: &mut Vec<f32>, out: &mut [f32]) {
+fn spectrum_feature_into(power: &[f64], compressed: &mut Vec<f32>, out: &mut [f32]) {
     // MusicSpectrum::normalized, fused: scale so the max is 1.
     let max = power.iter().cloned().fold(f64::MIN, f64::max);
     let scale = if max > 0.0 { 1.0 / max } else { 0.0 };
@@ -86,9 +81,8 @@ pub(crate) fn spectrum_feature_into(power: &[f64], compressed: &mut Vec<f32>, ou
     smooth_spectrum_into(compressed, out);
 }
 
-/// The ±2° circular smoothing shared by the exact and approximate
-/// log-compression paths (one body, so the two can never drift apart).
-pub(crate) fn smooth_spectrum_into(compressed: &[f32], out: &mut [f32]) {
+/// The ±2° circular smoothing of [`spectrum_feature_into`].
+fn smooth_spectrum_into(compressed: &[f32], out: &mut [f32]) {
     let n = compressed.len();
     const K: [f32; 9] = [0.03, 0.06, 0.12, 0.18, 0.22, 0.18, 0.12, 0.06, 0.03];
     if n < 9 {
@@ -127,9 +121,8 @@ pub(crate) fn smooth_spectrum_into(compressed: &[f32], out: &mut [f32]) {
 }
 
 /// Maps a mean backscatter power to the frame's direct feature: an
-/// absolute log scale anchored at −80 dB, clamped to [0, 1.5]. Shared
-/// (bit-identically) by the batch and streaming periodogram paths.
-pub(crate) fn periodogram_feature(p: f64) -> f32 {
+/// absolute log scale anchored at −80 dB, clamped to [0, 1.5].
+fn periodogram_feature(p: f64) -> f32 {
     let db = 10.0 * (p + 1e-12).log10();
     (((db + 80.0) / 60.0).clamp(0.0, 1.5)) as f32
 }

@@ -50,7 +50,6 @@ pub mod network;
 pub mod online;
 pub mod pipeline;
 pub mod serve;
-pub mod stream_extract;
 
 pub use dataset::{generate_dataset, DatasetBundle, ExperimentConfig};
 pub use degrade::SpectrumFallback;

@@ -43,7 +43,6 @@
 
 use crate::degrade::SpectrumFallback;
 use crate::frames::{FrameBuilder, FrameScratch};
-use crate::stream_extract::{StreamExtractor, StreamingExtract};
 use m2ai_kernels::KernelScratch;
 use m2ai_nn::model::SequenceClassifier;
 use m2ai_rfsim::reading::TagReading;
@@ -230,11 +229,7 @@ pub struct SessionWindow {
     /// Recorded health transitions, in order, capped at
     /// [`TRANSITION_LOG_CAP`] entries.
     transitions: Vec<(HealthState, HealthState)>,
-    /// Streaming incremental extraction state; `None` means every
-    /// window is built by the batch `FrameBuilder` (the default, and
-    /// the fallback for configurations streaming cannot cover).
-    extractor: Option<StreamExtractor>,
-    /// Reused frame-construction buffers of the batch path.
+    /// Reused frame-construction buffers.
     scratch: FrameScratch,
 }
 
@@ -261,28 +256,8 @@ impl SessionWindow {
             fallback,
             good_streak: 0,
             transitions: Vec::new(),
-            extractor: None,
             scratch: FrameScratch::default(),
         }
-    }
-
-    /// Enables streaming incremental extraction (builder style).
-    ///
-    /// Windows are then maintained by a [`StreamExtractor`] — rank-1
-    /// covariance updates plus the GEMM-lowered pseudospectrum scan —
-    /// instead of batch rebuilds, with `cfg.refresh_every` bounding
-    /// drift. Configurations streaming cannot cover (PhaseOnly /
-    /// RssiOnly modes, frames not aligned to antenna rounds) silently
-    /// keep the batch path; check [`SessionWindow::streaming_active`].
-    #[must_use]
-    pub fn with_streaming(mut self, cfg: StreamingExtract) -> Self {
-        self.extractor = StreamExtractor::try_new(&self.builder, cfg);
-        self
-    }
-
-    /// `true` when windows are built by the streaming extractor.
-    pub fn streaming_active(&self) -> bool {
-        self.extractor.is_some()
     }
 
     /// Current stream health.
@@ -320,7 +295,7 @@ impl SessionWindow {
     /// Inserts a reading into the time-sorted window buffer, dropping
     /// exact duplicates (same time, tag, antenna and channel — e.g. an
     /// LLRP retransmission).
-    fn insert_sorted(&mut self, r: &TagReading) -> bool {
+    fn insert_sorted(&mut self, r: &TagReading) {
         // Key equality ⟺ "same physical read", so a strict comparison
         // both keeps the buffer sorted and exposes duplicates at the
         // insertion point. (Timestamps are finite here — `push`
@@ -329,14 +304,12 @@ impl SessionWindow {
         // In-order arrival, the common case, appends.
         if self.buffer.back().is_none_or(|b| key(b) < key(r)) {
             self.buffer.push_back(r.clone());
-            return true;
+            return;
         }
         let pos = self.buffer.partition_point(|x| key(x) < key(r));
-        if pos < self.buffer.len() && key(&self.buffer[pos]) == key(r) {
-            return false;
+        if pos == self.buffer.len() || key(&self.buffer[pos]) != key(r) {
+            self.buffer.insert(pos, r.clone());
         }
-        self.buffer.insert(pos, r.clone());
-        true
     }
 
     /// Closes the window starting at `next_window_start`: builds the
@@ -377,15 +350,12 @@ impl SessionWindow {
         // context; a no-op span when the push was unsampled).
         let mut extract_span = m2ai_obs::trace::span("extract");
         extract_span.set_time_s(window_end);
-        let (mut frame, quality) = match &mut self.extractor {
-            Some(ex) => ex.extract(window_start),
-            None => self.builder.frame_into(
-                self.buffer.range(lo..hi),
-                window_start,
-                self.builder.parallelism,
-                &mut self.scratch,
-            ),
-        };
+        let (mut frame, quality) = self.builder.frame_into(
+            self.buffer.range(lo..hi),
+            window_start,
+            self.builder.parallelism,
+            &mut self.scratch,
+        );
         extract_span.end();
         let patched = self.fallback.observe_and_patch(&mut frame, &quality);
         let (coverage_hist, patch_counter) = window_quality();
@@ -449,13 +419,7 @@ impl SessionWindow {
             if !r.time_s.is_finite() {
                 continue;
             }
-            if self.insert_sorted(r) {
-                // Retained (non-duplicate) readings feed the streaming
-                // extractor so its round slots mirror the buffer.
-                if let Some(ex) = &mut self.extractor {
-                    ex.ingest(r);
-                }
-            }
+            self.insert_sorted(r);
             // Close every window that ends at or before this reading.
             while r.time_s >= self.next_window_start + frame_len {
                 self.close_window(out);

@@ -155,16 +155,6 @@ pub struct ServeConfig {
     /// fabric shards) with different backends run side by side in one
     /// process without affecting each other.
     pub backend: m2ai_kernels::Backend,
-    /// Streaming incremental extraction for the raw-readings path.
-    ///
-    /// `None` (the default) keeps the bit-exact batch `FrameBuilder`
-    /// on every window. `Some(cfg)` gives each session a
-    /// [`crate::stream_extract::StreamExtractor`]: rank-1 sliding
-    /// covariance updates plus the GEMM-lowered pseudospectrum scan,
-    /// with `cfg.refresh_every` windows between exact recomputes.
-    /// Configurations streaming cannot cover silently keep the batch
-    /// path per session.
-    pub streaming: Option<crate::stream_extract::StreamingExtract>,
 }
 
 impl Default for ServeConfig {
@@ -176,7 +166,6 @@ impl Default for ServeConfig {
             history_len: 12,
             health: HealthConfig::default(),
             backend: m2ai_kernels::Backend::Fast,
-            streaming: None,
         }
     }
 }
@@ -381,17 +370,13 @@ impl ServeEngine {
         };
         let id = SessionId(self.next_id);
         self.next_id += 1;
-        let mut window = SessionWindow::new(
-            self.builder.clone(),
-            self.cfg.history_len,
-            self.cfg.health.clone(),
-        );
-        if let Some(streaming) = self.cfg.streaming {
-            window = window.with_streaming(streaming);
-        }
         self.slots[free] = Some(Slot {
             id,
-            window,
+            window: SessionWindow::new(
+                self.builder.clone(),
+                self.cfg.history_len,
+                self.cfg.health.clone(),
+            ),
             state: self.model.stream_state(self.cfg.history_len),
             pending: VecDeque::new(),
             shed: 0,
@@ -735,13 +720,6 @@ impl ServeEngine {
                     let mut sp = ctx.child_at("infer", s0);
                     sp.set_session(id.0);
                     sp.end_at(s1, SpanStatus::Ok);
-                    trace::record_exemplar(
-                        "m2ai_serve_prediction_seconds",
-                        per_row,
-                        *ctx,
-                        id.0 as i64,
-                        -1,
-                    );
                 }
             }
         }

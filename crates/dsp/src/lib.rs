@@ -13,15 +13,10 @@
 //! * the MUSIC pseudospectrum estimator ([`music`], Eq. 12) with
 //!   forward–backward averaging, spatial smoothing and MDL/AIC source
 //!   counting;
-//! * descriptive [`stats`] (means, medians, circular statistics);
-//! * [`stream`]ing sliding-window covariance maintenance (rank-1
-//!   add/retire of forward–backward snapshot outer products) feeding a
-//!   GEMM-lowered pseudospectrum scan
-//!   ([`music::pseudospectrum_from_correlation_gemm`]).
+//! * descriptive [`stats`] (means, medians, circular statistics).
 //!
-//! The crate uses `f64` throughout for the exact batch path and leans
-//! only on workspace crates (`m2ai-kernels` for the packed `f32` scan,
-//! `m2ai-obs` for instrumentation) — no external dependencies.
+//! The crate uses `f64` throughout and leans only on `m2ai-obs` for
+//! instrumentation — no external dependencies.
 //!
 //! # Example
 //!
@@ -51,7 +46,6 @@ pub mod music;
 pub mod periodogram;
 pub mod phase;
 pub mod stats;
-pub mod stream;
 pub mod window;
 
 pub use complex::Complex;

@@ -568,11 +568,11 @@ fn subarray_config(config: &MusicConfig, n: usize) -> MusicConfig {
     }
 }
 
-/// The subspace split shared by the exact and GEMM-lowered grid scans:
-/// everything in [`pseudospectrum_from_correlation`] up to source
-/// counting. The full eigensystem is handed back (rather than a
-/// materialised noise matrix) so both scans pack their operands
-/// straight from the noise eigenvector columns (`m..n`).
+/// The subspace split of the pseudospectrum: everything in
+/// [`pseudospectrum_from_correlation`] up to source counting. The full
+/// eigensystem is handed back (rather than a materialised noise
+/// matrix) so the scan packs its operand straight from the noise
+/// eigenvector columns (`m..n`).
 struct NoiseSubspace {
     /// Full eigensystem of the loaded, FB-averaged correlation.
     eig: crate::eigen::EigenDecomposition,
@@ -583,9 +583,8 @@ struct NoiseSubspace {
 }
 
 /// Forward–backward averaging, diagonal loading, eigendecomposition and
-/// source counting — the exact-`f64` prefix of the pseudospectrum,
-/// factored out so the GEMM-lowered scan shares it bitwise with the
-/// per-angle loop (only the grid scan itself differs between the two).
+/// source counting — the prefix of the pseudospectrum shared by
+/// [`pseudospectrum_power_into`] and [`pseudospectrum_from_correlation`].
 fn noise_subspace_of(
     r: &CMatrix,
     n_snapshots: usize,
@@ -702,33 +701,18 @@ fn exact_scan(
     }
 }
 
-type TransposedSteeringMap<T> = HashMap<SteeringKey, Arc<Vec<T>>>;
+type SoaSteeringMap = HashMap<SteeringKey, Arc<Vec<f64>>>;
 
 /// Process-wide cache of the exact scan's structure-of-arrays `f64`
 /// steering tables (layout in [`exact_scan`]), keyed like
 /// [`STEERING_CACHE`]. Entries are copied from the shared
 /// [`SteeringTable`], so they are bitwise the steering vectors.
-static SOA_STEERING_CACHE: OnceLock<Mutex<TransposedSteeringMap<f64>>> = OnceLock::new();
-
-/// Process-wide cache of split-real packed steering matrices for the
-/// GEMM-lowered scan, keyed like [`STEERING_CACHE`]. The packed matrix
-/// has the same transposed layout as [`SOA_STEERING_CACHE`] in `f32`
-/// (`2n × n_angles`: row `i < n` holds `Re a_g[i]` across the angle
-/// grid, row `n + i` holds `Im a_g[i]`). With the angle grid as the
-/// wide contiguous dimension, the GEMM's inner loops run 180-wide
-/// vectorised blocks instead of 180 skinny rows — on 4-antenna
-/// subspaces that orientation is ~10× faster. Derived from the shared
-/// [`SteeringTable`] (one rounding per entry).
-static PACKED_STEERING_CACHE: OnceLock<Mutex<TransposedSteeringMap<f32>>> = OnceLock::new();
+static SOA_STEERING_CACHE: OnceLock<Mutex<SoaSteeringMap>> = OnceLock::new();
 
 /// Fetches (or builds, once per geometry) `config`'s steering table in
-/// the transposed split-real layout, each entry cast by `cast`.
-fn transposed_steering<T: Copy + Default>(
-    cache: &'static OnceLock<Mutex<TransposedSteeringMap<T>>>,
-    config: &MusicConfig,
-    cast: fn(f64) -> T,
-) -> Arc<Vec<T>> {
-    let cache = cache.get_or_init(|| Mutex::new(HashMap::new()));
+/// the structure-of-arrays layout of [`exact_scan`].
+fn soa_steering(config: &MusicConfig) -> Arc<Vec<f64>> {
+    let cache = SOA_STEERING_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("steering cache poisoned");
     let key = SteeringKey::of(config);
     if let Some(table) = map.get(&key) {
@@ -737,136 +721,16 @@ fn transposed_steering<T: Copy + Default>(
     let vectors = SteeringTable::for_config(config);
     let n = config.n_antennas;
     let n_angles = config.n_angles;
-    let mut table = vec![T::default(); 2 * n * n_angles];
+    let mut table = vec![0.0; 2 * n * n_angles];
     for g in 0..n_angles {
         for (i, z) in vectors.vector(g).iter().enumerate() {
-            table[i * n_angles + g] = cast(z.re);
-            table[(n + i) * n_angles + g] = cast(z.im);
+            table[i * n_angles + g] = z.re;
+            table[(n + i) * n_angles + g] = z.im;
         }
     }
     let table = Arc::new(table);
     map.insert(key, table.clone());
     table
-}
-
-fn soa_steering(config: &MusicConfig) -> Arc<Vec<f64>> {
-    transposed_steering(&SOA_STEERING_CACHE, config, |v| v)
-}
-
-fn packed_steering(config: &MusicConfig) -> Arc<Vec<f32>> {
-    transposed_steering(&PACKED_STEERING_CACHE, config, |v| v as f32)
-}
-
-/// GEMM-lowered variant of [`pseudospectrum_from_correlation`]: the
-/// forward–backward average, diagonal loading, eigendecomposition and
-/// source counting are the *same `f64` code path* (so `source_count`
-/// always matches the exact scan), but the 180-bin grid scan is
-/// evaluated as two packed `f32` GEMMs on `m2ai-kernels` instead of the
-/// per-angle projection loop.
-///
-/// With `S` the packed steering matrix stored transposed (`2n ×
-/// n_angles`: the top `n` rows are `Re a_g[i]`, the bottom `n` rows
-/// `Im a_g[i]`) and `E` the noise subspace, the projection
-/// `G[g, j] = Σ_i a_g[i]·conj(E[i, j])` splits into
-///
-/// ```text
-/// (Re G)ᵀ = [ Re E ; Im E]ᵀ · S      (Im G)ᵀ = [-Im E ; Re E]ᵀ · S
-/// ```
-///
-/// i.e. `c × n_angles` products whose *wide* dimension is the 180-bin
-/// angle grid — the orientation the `f32` kernels vectorise
-/// (tall-skinny `n_angles × c` outputs would run the scalar column
-/// tail on every row). Both products run as ONE fused GEMM: the
-/// real-part rows and imaginary-part rows are stacked into a single
-/// `2c × 2n` operand, so one `2c × n_angles` product computes both
-/// halves, and the denominator `‖column g‖²` is simply the column's
-/// sum of squares over all `2c` rows, accumulated in `f64`. The only
-/// precision loss versus the exact scan is the `f32` rounding of the
-/// steering/noise operands and products, which perturbs each power
-/// bin by a relative `O(ε_f32)` — the drift band documented (and
-/// property-tested) by the streaming extractor that calls this.
-///
-/// Operand and output buffers come from `scratch` ([`KernelScratch`]
-/// hands out zeroed buffers, which `gemm_nn`'s accumulate-into-C
-/// contract requires), and the GEMM runs on its backend.
-///
-/// # Errors
-///
-/// See [`pseudospectrum`].
-pub fn pseudospectrum_from_correlation_gemm(
-    r: &CMatrix,
-    n_snapshots: usize,
-    config: &MusicConfig,
-    scratch: &mut m2ai_kernels::KernelScratch,
-) -> Result<MusicSpectrum, DspError> {
-    let mut power = Vec::new();
-    let m = pseudospectrum_power_gemm_into(r, n_snapshots, config, scratch, &mut power)?;
-    Ok(MusicSpectrum {
-        angles_deg: angle_grid(config.n_angles),
-        power,
-        source_count: m,
-    })
-}
-
-/// Allocation-lean core of [`pseudospectrum_from_correlation_gemm`]:
-/// writes the per-bin linear power into `power` (cleared and resized to
-/// `config.n_angles`) and returns the estimated source count. Callers
-/// on the per-window streaming hot path reuse `power` across calls and
-/// skip the `MusicSpectrum` (angle grid + power vector) allocations.
-///
-/// # Errors
-///
-/// See [`pseudospectrum`].
-pub fn pseudospectrum_power_gemm_into(
-    r: &CMatrix,
-    n_snapshots: usize,
-    config: &MusicConfig,
-    scratch: &mut m2ai_kernels::KernelScratch,
-    power: &mut Vec<f64>,
-) -> Result<usize, DspError> {
-    let sub = noise_subspace_of(r, n_snapshots, config)?;
-    let (n, m) = (sub.n, sub.source_count);
-    let vecs = &sub.eig.vectors;
-    let c = n - m;
-    let steering = packed_steering(&subarray_config(config, n));
-    let n_angles = config.n_angles;
-    let k = 2 * n;
-    let rows = 2 * c;
-
-    // Fused split-real operand (2c × 2n), packed straight from the
-    // noise eigenvector columns: row `j < c` is `[Re E[·,j] | Im
-    // E[·,j]]` (real part of the projection), row `c + j` is
-    // `[-Im E[·,j] | Re E[·,j]]` (imaginary part). For a steering
-    // column `[Re a ; Im a]` and conj(E) = Re E − i·Im E:
-    //   Re(a·conj(e)) = Re a·Re E + Im a·Im E
-    //   Im(a·conj(e)) = Im a·Re E − Re a·Im E
-    let mut a = scratch.take(rows * k);
-    for j in 0..c {
-        for i in 0..n {
-            let e = vecs[(i, m + j)];
-            a[j * k + i] = e.re as f32;
-            a[j * k + n + i] = e.im as f32;
-            a[(c + j) * k + i] = (-e.im) as f32;
-            a[(c + j) * k + n + i] = e.re as f32;
-        }
-    }
-    let mut g = scratch.take(rows * n_angles);
-    m2ai_kernels::gemm_nn(scratch.backend(), rows, n_angles, k, &a, &steering, &mut g);
-
-    // ‖column‖² over all 2c rows covers Re² + Im² in one pass.
-    power.clear();
-    power.resize(n_angles, 0.0);
-    for row in g.chunks_exact(n_angles) {
-        for (d, &v) in power.iter_mut().zip(row) {
-            *d += v as f64 * v as f64;
-        }
-    }
-    for d in power.iter_mut() {
-        *d = 1.0 / d.max(1e-12);
-    }
-    scratch.recycle(g);
-    scratch.recycle(a);
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -1147,88 +1011,5 @@ mod tests {
         assert_eq!(peaks.len(), 2);
         assert_eq!(peaks[0].0, 1.0);
         assert_eq!(peaks[1].0, 7.0);
-    }
-
-    /// Relative agreement bound for the `f32` GEMM scan against the
-    /// exact `f64` per-angle loop. The operands are unit-magnitude
-    /// steering entries against orthonormal noise eigenvectors, so each
-    /// power bin agrees to a small multiple of `f32` epsilon; 1e-3 gives
-    /// generous slack over that.
-    const GEMM_SCAN_REL_TOL: f64 = 1e-3;
-
-    fn assert_gemm_scan_matches(
-        snaps: &[Vec<Complex>],
-        cfg: &MusicConfig,
-        backend: m2ai_kernels::Backend,
-    ) {
-        let r = match cfg.smoothing_subarray {
-            Some(l) => spatially_smoothed_correlation(snaps, l).unwrap(),
-            None => correlation_matrix(snaps).unwrap(),
-        };
-        let exact = pseudospectrum_from_correlation(&r, snaps.len(), cfg).unwrap();
-        let mut scratch = m2ai_kernels::KernelScratch::with_backend(backend);
-        let fast =
-            pseudospectrum_from_correlation_gemm(&r, snaps.len(), cfg, &mut scratch).unwrap();
-        assert_eq!(fast.source_count, exact.source_count, "same f64 prefix");
-        assert_eq!(fast.angles_deg, exact.angles_deg);
-        for (g, (&pf, &pe)) in fast.power.iter().zip(&exact.power).enumerate() {
-            let rel = (pf - pe).abs() / pe.abs().max(1e-300);
-            assert!(
-                rel < GEMM_SCAN_REL_TOL,
-                "bin {g}: exact {pe}, gemm {pf}, rel {rel}"
-            );
-        }
-    }
-
-    #[test]
-    fn gemm_scan_matches_exact_scan_on_both_backends() {
-        let configs = [
-            MusicConfig::paper_default(),
-            MusicConfig {
-                source_count: SourceCount::Aic,
-                smoothing_subarray: None,
-                ..MusicConfig::paper_default()
-            },
-            MusicConfig {
-                n_antennas: 6,
-                smoothing_subarray: Some(4),
-                source_count: SourceCount::Fixed(2),
-                ..test_config(6)
-            },
-        ];
-        for backend in [
-            m2ai_kernels::Backend::Reference,
-            m2ai_kernels::Backend::Fast,
-        ] {
-            for cfg in &configs {
-                let snaps = synth_snapshots(cfg, &[55.0, 120.0], 48, 0.05);
-                assert_gemm_scan_matches(&snaps, cfg, backend);
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_scan_scratch_reuse_is_deterministic() {
-        let cfg = MusicConfig::paper_default();
-        let snaps = synth_snapshots(&cfg, &[80.0], 32, 0.02);
-        let r = spatially_smoothed_correlation(&snaps, 3).unwrap();
-        let mut scratch = m2ai_kernels::KernelScratch::new();
-        let first =
-            pseudospectrum_from_correlation_gemm(&r, snaps.len(), &cfg, &mut scratch).unwrap();
-        // Second run reuses recycled (dirtied, then re-zeroed) buffers.
-        let second =
-            pseudospectrum_from_correlation_gemm(&r, snaps.len(), &cfg, &mut scratch).unwrap();
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn gemm_scan_propagates_validation_errors() {
-        let cfg = MusicConfig {
-            n_antennas: 1,
-            ..MusicConfig::paper_default()
-        };
-        let r = CMatrix::zeros(1, 1);
-        let mut scratch = m2ai_kernels::KernelScratch::new();
-        assert!(pseudospectrum_from_correlation_gemm(&r, 4, &cfg, &mut scratch).is_err());
     }
 }

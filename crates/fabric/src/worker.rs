@@ -370,10 +370,10 @@ impl Worker {
 
     /// Closes the queue-wait leg of a sampled data event: records an
     /// "ingress" span from `enqueued_us` (stamped at the fabric edge)
-    /// to now, observes the wait in the shard's ingress-wait histogram
-    /// (with a trace exemplar), and returns the span's context so the
-    /// engine's extract/infer/emit spans parent under it. Unsampled
-    /// events pass straight through as [`TraceContext::NONE`].
+    /// to now, observes the wait in the shard's ingress-wait histogram,
+    /// and returns the span's context so the engine's
+    /// extract/infer/emit spans parent under it. Unsampled events pass
+    /// straight through as [`TraceContext::NONE`].
     fn finish_ingress(&self, ctx: TraceContext, enqueued_us: u64, key: u64) -> TraceContext {
         if !ctx.is_sampled() {
             return ctx;
@@ -386,13 +386,6 @@ impl Worker {
         sp.end_at(now, SpanStatus::Ok);
         let wait_s = now.saturating_sub(enqueued_us) as f64 * 1e-6;
         self.ins.ingress_wait_seconds.observe(wait_s);
-        trace::record_exemplar(
-            "m2ai_fabric_ingress_wait_seconds",
-            wait_s,
-            ctx,
-            key as i64,
-            self.shard as i64,
-        );
         out
     }
 

@@ -648,85 +648,6 @@ pub fn validate_flightrec_json(doc: &str) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------
-// Exemplars
-// ---------------------------------------------------------------------
-
-/// One sampled observation linked to the trace that produced it, so a
-/// histogram's tail stops being anonymous: bench reports can say which
-/// session on which shard produced the p99 and pull its span tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exemplar {
-    /// Histogram family the observation went to.
-    pub metric: &'static str,
-    /// The observed value.
-    pub value: f64,
-    /// Trace that produced it.
-    pub trace_id: u64,
-    /// Session attribution (`-1` = none).
-    pub session: i64,
-    /// Shard attribution (`-1` = none).
-    pub shard: i64,
-}
-
-/// Retained exemplars (oldest evicted beyond this).
-const EXEMPLAR_CAP: usize = 512;
-
-fn exemplar_store() -> MutexGuard<'static, VecDeque<Exemplar>> {
-    static E: OnceLock<Mutex<VecDeque<Exemplar>>> = OnceLock::new();
-    E.get_or_init(|| Mutex::new(VecDeque::new()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Records an exemplar for a sampled frame (no-op when `ctx` is
-/// unsampled — exemplars exist only where a trace can be pulled up).
-pub fn record_exemplar(
-    metric: &'static str,
-    value: f64,
-    ctx: TraceContext,
-    session: i64,
-    shard: i64,
-) {
-    if !ctx.is_sampled() {
-        return;
-    }
-    let mut store = exemplar_store();
-    if store.len() == EXEMPLAR_CAP {
-        store.pop_front();
-    }
-    store.push_back(Exemplar {
-        metric,
-        value,
-        trace_id: ctx.trace_id,
-        session,
-        shard,
-    });
-}
-
-/// All retained exemplars, oldest first.
-pub fn exemplars() -> Vec<Exemplar> {
-    exemplar_store().iter().copied().collect()
-}
-
-/// The worst (largest-value) retained exemplar for one metric family —
-/// the trace to pull when explaining a p99.
-pub fn max_exemplar(metric: &str) -> Option<Exemplar> {
-    exemplar_store()
-        .iter()
-        .filter(|e| e.metric == metric)
-        .copied()
-        .fold(None, |acc: Option<Exemplar>, e| match acc {
-            Some(a) if a.value >= e.value => Some(a),
-            _ => Some(e),
-        })
-}
-
-/// Clears the exemplar store (bench runs isolate their windows).
-pub fn clear_exemplars() {
-    exemplar_store().clear();
-}
-
-// ---------------------------------------------------------------------
 // Chrome trace_event exporter
 // ---------------------------------------------------------------------
 
@@ -930,26 +851,6 @@ mod tests {
         assert_eq!(current(), TraceContext::NONE);
         assert!(!span("outside").is_recording());
         let _spans = take_spans();
-    }
-
-    #[test]
-    fn exemplars_keep_the_worst_per_metric() {
-        let _g = trace_lock();
-        clear_exemplars();
-        set_trace_config(TraceConfig { sample_one_in_n: 1 });
-        seed_trace_ids(31);
-        let a = begin_trace();
-        let b = begin_trace();
-        record_exemplar("test_trace_lat_seconds", 0.002, a, 7, 0);
-        record_exemplar("test_trace_lat_seconds", 0.050, b, 9, 1);
-        record_exemplar("test_trace_lat_seconds", 0.001, TraceContext::NONE, 1, 0);
-        set_trace_config(TraceConfig { sample_one_in_n: 0 });
-        let worst = max_exemplar("test_trace_lat_seconds").expect("exemplar retained");
-        assert_eq!(worst.session, 9);
-        assert_eq!(worst.shard, 1);
-        assert_eq!(worst.trace_id, b.trace_id);
-        assert_eq!(exemplars().len(), 2, "unsampled exemplar must be dropped");
-        clear_exemplars();
     }
 
     #[test]

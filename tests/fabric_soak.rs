@@ -25,7 +25,6 @@ use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
 use m2ai::core::network::{build_model, Architecture};
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::ServeConfig;
-use m2ai::core::stream_extract::StreamingExtract;
 use m2ai::fabric::{FabricConfig, FabricPrediction, PushOutcome, ServeFabric, ShardThrottle};
 use m2ai::rfsim::fault::FaultPlan;
 use m2ai::rfsim::reader::{Reader, ReaderConfig};
@@ -120,9 +119,6 @@ fn soak() -> SoakOutcome {
                 max_sessions: 32,
                 history_len: HISTORY,
                 queue_capacity: 256,
-                // The raw-readings session exercises the streaming
-                // incremental extractor under concurrent faulty load.
-                streaming: Some(StreamingExtract { refresh_every: 4 }),
                 ..ServeConfig::default()
             },
             supervision: Default::default(),
