@@ -2,7 +2,7 @@
 //! PR's end-to-end contract, checked against the live fabric:
 //!
 //! 1. **Span-tree completeness under chaos**: a 2-shard fabric is
-//!    driven through [`KILLS`] alternating shard kills at sampling
+//!    driven through `KILLS` alternating shard kills at sampling
 //!    1-in-1; every emitted prediction must carry a sampled trace whose
 //!    emit span walks parent-by-parent to an ingress span recorded on
 //!    the shard worker — one causally linked tree per frame even when
@@ -17,10 +17,10 @@
 //!    tracing off and at sampling 1 must produce bitwise-identical
 //!    predictions (trace identity aside — the only field allowed to
 //!    differ).
-//! 5. **Overhead**: at 1-in-[`OVERHEAD_SAMPLE_N`] head sampling the
+//! 5. **Overhead**: at 1-in-`OVERHEAD_SAMPLE_N` head sampling the
 //!    serve tick loop's time per prediction must stay within
-//!    [`MAX_OVERHEAD`] of its tracing-off time. The two settings run
-//!    in [`OVERHEAD_PAIRS`] back-to-back pairs, alternating which runs
+//!    `MAX_OVERHEAD` of its tracing-off time. The two settings run
+//!    in `OVERHEAD_PAIRS` back-to-back pairs, alternating which runs
 //!    first, and the gate reads the median per-pair ratio, so drift
 //!    over the run (frequency, cache, neighbours) hits both sides of
 //!    every pair alike.

@@ -10,8 +10,9 @@
 //! After `max_age` dark windows the memory is dropped and the region
 //! stays zero (honest ignorance beats stale confidence).
 //!
-//! The fallback is deliberately *not* part of [`FrameBuilder`]: frame
-//! construction stays pure (the PR-1 thread-invariance contract), and
+//! The fallback is deliberately *not* part of
+//! [`FrameBuilder`](crate::frames::FrameBuilder): frame construction
+//! stays pure (its thread-invariance contract), and
 //! the stateful patching lives in the sequential streaming layer.
 
 use crate::frames::{FrameLayout, FrameQuality};

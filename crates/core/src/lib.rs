@@ -18,9 +18,10 @@
 //! 5. **[`pipeline`]** — train/evaluate end to end, produce accuracies
 //!    and the Table-I confusion matrix, and run every classical
 //!    baseline on the same data (Fig. 9);
-//! 6. **[`online`]** — a streaming identifier for the realtime
-//!    deployment mode (Section V), with a Healthy/Degraded/Stale
-//!    health state machine for faulty streams;
+//! 6. **[`online`]** + **[`serve`]** — the realtime deployment mode
+//!    (Section V): per-session windowing with a Healthy/Degraded/Stale
+//!    health state machine for faulty streams, served by one engine
+//!    with incremental, cross-session micro-batched inference;
 //! 7. **[`degrade`]** + **[`error`]** — the graceful-degradation layer:
 //!    last-good-spectrum fallback with exponential decay, per-tag
 //!    coverage masks, and typed errors for data-dependent failures.
@@ -56,8 +57,6 @@ pub use degrade::SpectrumFallback;
 pub use error::Error;
 pub use frames::{FeatureMode, FrameLayout, FrameQuality};
 pub use network::Architecture;
-pub use online::{
-    HealthConfig, HealthState, OnlineIdentifier, OnlinePrediction, SessionWindow, WindowEvent,
-};
+pub use online::{HealthConfig, HealthState, SessionWindow, WindowEvent};
 pub use pipeline::{train_m2ai, TrainOptions, TrainOutcome};
 pub use serve::{ServeConfig, ServeEngine, ServeError, ServePrediction, SessionId};

@@ -1,14 +1,14 @@
-//! Realtime (streaming) identification.
+//! Per-session windowing for realtime identification.
 //!
 //! The paper's deployment (Section V) streams LLRP reads to a backend
-//! that identifies activities *in realtime*. [`OnlineIdentifier`]
-//! packages that mode: push readings as they arrive, and it maintains a
-//! sliding sequence of spectrum frames, emitting a prediction whenever
-//! a fresh frame completes.
+//! that identifies activities *in realtime*. A [`SessionWindow`] turns
+//! one stream's readings, pushed as they arrive, into one spectrum
+//! frame per closed window; [`crate::serve::ServeEngine`] runs one per
+//! session and turns those frames into predictions.
 //!
 //! ## Degradation contract
 //!
-//! Real streams lose reads. The identifier tracks a
+//! Real streams lose reads. The window tracks a
 //! [`HealthState`] per window:
 //!
 //! * **Healthy** — coverage is good; predictions flow normally.
@@ -26,7 +26,7 @@
 //!   the read buffer's trimming, so the rule does not depend on the
 //!   history length.
 //!
-//! Recovery is hysteretic: after degradation, the identifier returns to
+//! Recovery is hysteretic: after degradation, the window returns to
 //! Healthy only after [`HealthConfig::recovery_windows`] consecutive
 //! good windows. Out-of-order and duplicate readings are tolerated: the
 //! window buffer keeps itself time-sorted and drops exact duplicates,
@@ -43,8 +43,6 @@
 
 use crate::degrade::SpectrumFallback;
 use crate::frames::{FrameBuilder, FrameScratch};
-use m2ai_kernels::KernelScratch;
-use m2ai_nn::model::SequenceClassifier;
 use m2ai_rfsim::reading::TagReading;
 use std::collections::VecDeque;
 
@@ -156,29 +154,12 @@ impl Default for HealthConfig {
     }
 }
 
-/// A prediction emitted for one completed frame window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlinePrediction {
-    /// End time of the window that triggered this prediction.
-    pub time_s: f64,
-    /// Most likely activity class.
-    pub class: usize,
-    /// Class probabilities (mean per-frame softmax over the current
-    /// frame history).
-    pub probabilities: Vec<f32>,
-    /// Stream health when this prediction was made.
-    pub health: HealthState,
-    /// Top-class probability (convenience copy).
-    pub confidence: f32,
-}
-
 /// Outcome of one closed frame window, emitted by [`SessionWindow`].
 ///
 /// The window layer owns read buffering, frame assembly and the health
-/// state machine; what it *doesn't* own is inference. Consumers — the
-/// single-stream [`OnlineIdentifier`] and the multi-session
-/// [`crate::serve::ServeEngine`] — turn these events into predictions
-/// their own way (full-window replay vs. incremental stepping).
+/// state machine; what it *doesn't* own is inference. The consumer,
+/// [`crate::serve::ServeEngine`], turns these events into predictions
+/// by incremental stepping.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WindowEvent {
     /// A frame was assembled for the window ending at `time_s`.
@@ -202,12 +183,11 @@ pub enum WindowEvent {
 
 /// Per-session read buffering, frame windowing and health tracking.
 ///
-/// Extracted from [`OnlineIdentifier`] so the serve engine can run N
-/// of these (one per session slot) against a single shared model. The
-/// type is a pure event source: push raw readings in, get
-/// [`WindowEvent`]s out, with the out-of-order/duplicate tolerance and
-/// the Healthy → Degraded → Stale machinery documented at module
-/// level.
+/// The serve engine runs N of these (one per session slot) against a
+/// single shared model. The type is a pure event source: push raw
+/// readings in, get [`WindowEvent`]s out, with the out-of-order/duplicate
+/// tolerance and the Healthy → Degraded → Stale machinery documented at
+/// module level.
 #[derive(Debug, Clone)]
 pub struct SessionWindow {
     builder: FrameBuilder,
@@ -285,11 +265,6 @@ impl SessionWindow {
             self.transitions.push((prev, next));
         }
         transition_counter(prev, next).inc();
-    }
-
-    /// The frame layout's flat dimension (what `Frame` events carry).
-    pub fn frame_dim(&self) -> usize {
-        self.builder.layout.frame_dim()
     }
 
     /// Inserts a reading into the time-sorted window buffer, dropping
@@ -428,178 +403,13 @@ impl SessionWindow {
     }
 }
 
-/// Streaming wrapper: reader stream in, per-window predictions out.
-///
-/// Single-stream consumer of [`SessionWindow`] events. Inference is
-/// full-window replay (`try_predict_proba` over the sliding frame
-/// history) through a persistent [`KernelScratch`], so the steady
-/// state allocates nothing per window. For many concurrent streams on
-/// one model, use [`crate::serve::ServeEngine`], which replaces the
-/// replay with incremental batched stepping.
-#[derive(Debug)]
-pub struct OnlineIdentifier {
-    window: SessionWindow,
-    model: SequenceClassifier,
-    /// Sliding window length in frames (the training `T`).
-    history_len: usize,
-    frames: VecDeque<Vec<f32>>,
-    /// Predictions suppressed (Stale stream or gated confidence).
-    suppressed: usize,
-    /// Reused event buffer (drained every push).
-    events: Vec<WindowEvent>,
-    scratch: KernelScratch,
-}
-
-impl Clone for OnlineIdentifier {
-    fn clone(&self) -> Self {
-        OnlineIdentifier {
-            window: self.window.clone(),
-            model: self.model.clone(),
-            history_len: self.history_len,
-            frames: self.frames.clone(),
-            suppressed: self.suppressed,
-            events: Vec::new(),
-            // The pool is a cache, not state: a fresh one is
-            // behaviourally identical.
-            scratch: KernelScratch::new(),
-        }
-    }
-}
-
-impl OnlineIdentifier {
-    /// Creates a streaming identifier with the default [`HealthConfig`].
-    ///
-    /// `history_len` should match the `frames_per_sample` the model was
-    /// trained with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_len` is zero.
-    pub fn new(builder: FrameBuilder, model: SequenceClassifier, history_len: usize) -> Self {
-        Self::with_health_config(builder, model, history_len, HealthConfig::default())
-    }
-
-    /// Creates a streaming identifier with explicit health thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_len` is zero.
-    pub fn with_health_config(
-        builder: FrameBuilder,
-        model: SequenceClassifier,
-        history_len: usize,
-        health_cfg: HealthConfig,
-    ) -> Self {
-        OnlineIdentifier {
-            window: SessionWindow::new(builder, history_len, health_cfg),
-            model,
-            history_len,
-            frames: VecDeque::new(),
-            suppressed: 0,
-            events: Vec::new(),
-            scratch: KernelScratch::new(),
-        }
-    }
-
-    /// Number of frames currently in the sliding history.
-    pub fn history_fill(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Current stream health.
-    pub fn health(&self) -> HealthState {
-        self.window.health()
-    }
-
-    /// Number of predictions suppressed so far (Stale windows and
-    /// confidence-gated Degraded windows).
-    pub fn suppressed(&self) -> usize {
-        self.suppressed
-    }
-
-    /// The health transitions this stream has gone through, in order.
-    pub fn transitions(&self) -> &[(HealthState, HealthState)] {
-        self.window.transitions()
-    }
-
-    /// Pushes a batch of readings (need not be aligned to windows);
-    /// returns one prediction per frame window completed by this batch.
-    ///
-    /// Readings may arrive out of order and duplicated; the buffer
-    /// sorts and dedups them. Windows close when a reading at or past
-    /// the window end shows up. Non-finite timestamps are rejected
-    /// outright (they cannot be ordered).
-    pub fn push(&mut self, readings: &[TagReading]) -> Vec<OnlinePrediction> {
-        let mut events = std::mem::take(&mut self.events);
-        self.window.push(readings, &mut events);
-        let mut out = Vec::new();
-        for ev in events.drain(..) {
-            match ev {
-                WindowEvent::Stale { .. } => {
-                    self.frames.clear();
-                    self.suppressed += 1;
-                }
-                WindowEvent::Frame {
-                    time_s,
-                    frame,
-                    health,
-                } => {
-                    self.frames.push_back(frame);
-                    if self.frames.len() > self.history_len {
-                        self.frames.pop_front();
-                    }
-                    if self.frames.len() == self.history_len {
-                        self.predict(time_s, health, &mut out);
-                    }
-                }
-            }
-        }
-        self.events = events;
-        out
-    }
-
-    /// Replays the full frame history through the model and appends a
-    /// prediction (or counts a suppression).
-    fn predict(&mut self, time_s: f64, health: HealthState, out: &mut Vec<OnlinePrediction>) {
-        self.frames.make_contiguous();
-        let (seq, _) = self.frames.as_slices();
-        let Ok(probabilities) = self.model.try_predict_proba_with(seq, &mut self.scratch) else {
-            // Unscorable history (diverged model, non-finite output):
-            // suppress rather than emit garbage.
-            self.suppressed += 1;
-            return;
-        };
-        let (class, confidence) =
-            probabilities
-                .iter()
-                .enumerate()
-                .fold((0usize, f32::NEG_INFINITY), |best, (i, &p)| {
-                    if p > best.1 {
-                        (i, p)
-                    } else {
-                        best
-                    }
-                });
-        if health == HealthState::Degraded && confidence < self.window.cfg.min_confidence {
-            self.suppressed += 1;
-            return;
-        }
-        out.push(OnlinePrediction {
-            time_s,
-            class,
-            probabilities,
-            health,
-            confidence,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibration::PhaseCalibrator;
     use crate::frames::{FeatureMode, FrameLayout};
     use crate::network::{build_model, Architecture};
+    use crate::serve::{ServeConfig, ServeEngine, ServePrediction, SessionId};
     use m2ai_rfsim::geometry::Point2;
     use m2ai_rfsim::reader::{Reader, ReaderConfig};
     use m2ai_rfsim::room::Room;
@@ -611,27 +421,44 @@ mod tests {
         reader.run(|_| scene.clone(), duration)
     }
 
-    fn identifier(history: usize) -> OnlineIdentifier {
+    /// A one-session engine over a one-tag, four-antenna layout.
+    fn engine(history: usize) -> (ServeEngine, SessionId) {
         let layout = FrameLayout::new(1, 4, FeatureMode::Joint);
         let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(1, 4), 0.5);
         let model = build_model(&layout, 12, Architecture::CnnLstm, 1);
-        OnlineIdentifier::new(builder, model, history)
+        let cfg = ServeConfig {
+            history_len: history,
+            ..ServeConfig::default()
+        };
+        let mut eng = ServeEngine::new(model, builder, cfg);
+        let id = eng.open_session().unwrap();
+        (eng, id)
+    }
+
+    /// Pushes `readings` to the session and drains its predictions.
+    fn serve(
+        eng: &mut ServeEngine,
+        id: SessionId,
+        readings: &[TagReading],
+    ) -> Vec<ServePrediction> {
+        eng.push(id, readings).unwrap();
+        eng.drain()
     }
 
     #[test]
     fn emits_after_history_fills() {
-        let mut ident = identifier(4);
+        let (mut eng, id) = engine(4);
         // 1.9 s: only 3 full windows of 0.5 s close (a window closes
         // when a reading beyond its end arrives) → no prediction yet.
-        let early = ident.push(&stream(1.9));
+        let early = serve(&mut eng, id, &stream(1.9));
         assert!(early.is_empty(), "history not full yet: {early:?}");
-        assert!(ident.history_fill() <= 4);
+        assert!(eng.export_session(id).unwrap().frames_seen() <= 4);
         // Continue the stream past 2.5 s: predictions appear.
         let rest: Vec<TagReading> = stream(4.0)
             .into_iter()
             .filter(|r| r.time_s >= 1.9)
             .collect();
-        let preds = ident.push(&rest);
+        let preds = serve(&mut eng, id, &rest);
         assert!(!preds.is_empty());
         for p in &preds {
             assert!(p.class < 12);
@@ -642,8 +469,8 @@ mod tests {
 
     #[test]
     fn one_prediction_per_window() {
-        let mut ident = identifier(2);
-        let preds = ident.push(&stream(4.05));
+        let (mut eng, id) = engine(2);
+        let preds = serve(&mut eng, id, &stream(4.05));
         // Windows of 0.5 s over 4 s: 7 closed windows after the first
         // fills history (window k closes at reading past (k+1)·0.5).
         assert!(
@@ -660,20 +487,20 @@ mod tests {
     #[test]
     fn incremental_matches_batch() {
         let readings = stream(4.0);
-        let mut batch_ident = identifier(3);
-        let batch = batch_ident.push(&readings);
-        let mut inc_ident = identifier(3);
+        let (mut batch_eng, batch_id) = engine(3);
+        let batch = serve(&mut batch_eng, batch_id, &readings);
+        let (mut inc_eng, inc_id) = engine(3);
         let mut incremental = Vec::new();
         for chunk in readings.chunks(17) {
-            incremental.extend(inc_ident.push(chunk));
+            incremental.extend(serve(&mut inc_eng, inc_id, chunk));
         }
         assert_eq!(batch, incremental);
     }
 
     #[test]
     fn healthy_on_a_clean_stream() {
-        let mut ident = identifier(2);
-        let preds = ident.push(&stream(4.0));
+        let (mut eng, id) = engine(2);
+        let preds = serve(&mut eng, id, &stream(4.0));
         assert!(!preds.is_empty());
         // A dense, continuous stream must not trip the state machine.
         assert!(
@@ -681,57 +508,17 @@ mod tests {
             "clean stream flagged: {:?}",
             preds.iter().map(|p| p.health).collect::<Vec<_>>()
         );
-        assert_eq!(ident.suppressed(), 0);
-    }
-
-    #[test]
-    fn duplicates_are_dropped() {
-        let readings = stream(4.0);
-        let mut doubled = Vec::new();
-        for r in &readings {
-            doubled.push(r.clone());
-            doubled.push(r.clone()); // exact retransmission
-        }
-        let mut a = identifier(2);
-        let pa = a.push(&readings);
-        let mut b = identifier(2);
-        let pb = b.push(&doubled);
-        assert_eq!(pa, pb, "duplicates must not skew frames");
-    }
-
-    #[test]
-    fn out_of_order_within_window_matches_sorted() {
-        let readings = stream(4.0);
-        // Reverse inside small groups, keeping window boundaries: every
-        // group stays inside one 0.5 s window (group span ≤ 0.1 s ≪
-        // window), so no window-close trigger is reordered across a
-        // boundary.
-        let mut shuffled = Vec::new();
-        for chunk in readings.chunks(4) {
-            let mut g: Vec<TagReading> = chunk.to_vec();
-            let all_same_window = g
-                .iter()
-                .all(|r| (r.time_s / 0.5).floor() == (g[0].time_s / 0.5).floor());
-            if all_same_window {
-                g.reverse();
-            }
-            shuffled.extend(g);
-        }
-        let mut a = identifier(2);
-        let pa = a.push(&readings);
-        let mut b = identifier(2);
-        let pb = b.push(&shuffled);
-        assert_eq!(pa, pb, "in-window reordering must not change output");
+        assert_eq!(eng.suppressed(), 0);
     }
 
     #[test]
     fn non_finite_timestamps_are_rejected() {
-        let mut ident = identifier(2);
+        let (mut eng, id) = engine(2);
         let mut readings = stream(4.0);
         let mut poison = readings[0].clone();
         poison.time_s = f64::NAN;
         readings.insert(10, poison);
-        let preds = ident.push(&readings);
+        let preds = serve(&mut eng, id, &readings);
         assert!(!preds.is_empty());
         for p in &preds {
             assert!(p.probabilities.iter().all(|v| v.is_finite()));
@@ -739,37 +526,8 @@ mod tests {
     }
 
     #[test]
-    fn goes_stale_on_silence_and_recovers() {
-        let cfg = HealthConfig {
-            stale_timeout_s: 1.0,
-            ..HealthConfig::default()
-        };
-        let layout = FrameLayout::new(1, 4, FeatureMode::Joint);
-        let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(1, 4), 0.5);
-        let model = build_model(&layout, 12, Architecture::CnnLstm, 1);
-        let mut ident = OnlineIdentifier::with_health_config(builder, model, 2, cfg);
-
-        // 0–2 s of stream, then a 3 s gap, then stream again.
-        let full = stream(7.0);
-        let before: Vec<TagReading> = full.iter().filter(|r| r.time_s < 2.0).cloned().collect();
-        let after: Vec<TagReading> = full.iter().filter(|r| r.time_s >= 5.0).cloned().collect();
-
-        let p1 = ident.push(&before);
-        assert!(!p1.is_empty());
-        let suppressed_before = ident.suppressed();
-
-        let p2 = ident.push(&after);
-        // The silent windows are suppressed, not predicted.
-        assert!(ident.suppressed() > suppressed_before, "gap must suppress");
-        // After the gap the history refills and predictions resume.
-        assert!(!p2.is_empty(), "stream resumption must recover");
-        let last = p2.last().unwrap();
-        assert!(last.probabilities.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
     #[should_panic(expected = "history")]
     fn zero_history_panics() {
-        identifier(0);
+        engine(0);
     }
 }

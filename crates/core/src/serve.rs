@@ -2,11 +2,10 @@
 //! cross-session micro-batching.
 //!
 //! The paper's deployment mode (Section V) streams LLRP reads to a
-//! backend identifying activities in realtime. [`OnlineIdentifier`]
-//! serves exactly one stream and re-runs the whole CNN→LSTM window on
-//! every new frame — O(T) redundant work per step. A [`ServeEngine`]
-//! serves N streams from **one shared model** and advances each by
-//! *state*, not replay:
+//! backend identifying activities in realtime. Re-running the whole
+//! CNN→LSTM window on every new frame would cost O(T) redundant work
+//! per step. A [`ServeEngine`] serves N streams from **one shared
+//! model** and advances each by *state*, not replay:
 //!
 //! * **Incremental stepping** — each session carries a
 //!   [`StreamState`] (persistent LSTM hidden/cell state plus a window
@@ -23,8 +22,9 @@
 //! The kernels compute every output element as one accumulator chain,
 //! row-independent, so a batched tick is **bit-identical** to the same
 //! sessions ticked serially, in any slot order — and a fresh session's
-//! first full window is bit-identical to [`OnlineIdentifier`]'s replay
-//! of the same frames. After the first window the engine *keeps* LSTM
+//! first full window is bit-identical to a full replay
+//! ([`SequenceClassifier::predict_proba_with`]) of the same frames.
+//! After the first window the engine *keeps* LSTM
 //! context across window boundaries instead of replaying from zero;
 //! that divergence is the point (context retention is what the paper's
 //! Fig. 17 ablation shows matters) and is documented in DESIGN.md.
@@ -38,13 +38,10 @@
 //!   by [`ServeConfig::queue_capacity`]; when a push overflows one,
 //!   the *oldest* pending events are shed (freshest data wins in a
 //!   realtime identifier) and the shed count is reported.
-//! * **Degradation** — each session runs the same
-//!   Healthy/Degraded/Stale machinery as [`OnlineIdentifier`] via its
-//!   own [`SessionWindow`]; Stale windows reset the session's stream
-//!   state, non-finite rows and low-confidence Degraded predictions
-//!   are suppressed, never emitted.
-//!
-//! [`OnlineIdentifier`]: crate::online::OnlineIdentifier
+//! * **Degradation** — each session runs the Healthy/Degraded/Stale
+//!   machinery of its own [`SessionWindow`]; Stale windows reset the
+//!   session's stream state, non-finite rows and low-confidence
+//!   Degraded predictions are suppressed, never emitted.
 
 use crate::frames::FrameBuilder;
 use crate::online::{HealthConfig, HealthState, SessionWindow, WindowEvent};
@@ -282,9 +279,7 @@ impl SessionCheckpoint {
 
 /// Multi-session serving engine over one shared model.
 ///
-/// See the module docs for the architecture; see
-/// [`OnlineIdentifier`](crate::online::OnlineIdentifier) for the
-/// single-stream replay baseline this replaces.
+/// See the module docs for the architecture.
 #[derive(Debug)]
 pub struct ServeEngine {
     model: SequenceClassifier,
@@ -460,16 +455,6 @@ impl ServeEngine {
         }
         self.slots[idx] = None;
         Ok(())
-    }
-
-    /// Current health of one session.
-    pub fn session_health(&self, id: SessionId) -> Result<HealthState, ServeError> {
-        let idx = self.find(id)?;
-        Ok(self.slots[idx]
-            .as_ref()
-            .expect("found above")
-            .window
-            .health())
     }
 
     /// Number of window events queued for one session.
@@ -804,7 +789,6 @@ mod tests {
     use crate::calibration::PhaseCalibrator;
     use crate::frames::{FeatureMode, FrameLayout};
     use crate::network::{build_model, Architecture};
-    use crate::online::OnlineIdentifier;
     use m2ai_rfsim::geometry::Point2;
     use m2ai_rfsim::reader::{Reader, ReaderConfig};
     use m2ai_rfsim::room::Room;
@@ -881,17 +865,35 @@ mod tests {
     }
 
     #[test]
-    fn serve_matches_online_identifier_first_window() {
-        // A fresh serve session's first prediction must bit-match the
-        // replay-based OnlineIdentifier on the same stream.
+    fn first_window_matches_replay_of_session_frames() {
+        // A fresh serve session's first prediction must bit-match a full
+        // replay of the first `history` frames a `SessionWindow` builds
+        // from the same stream.
         let readings = stream(4.0);
         let layout = layout();
         let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(1, 4), 0.5);
         let model = build_model(&layout, 12, Architecture::CnnLstm, 1);
         let history = 3;
-        let mut ident = OnlineIdentifier::new(builder.clone(), model.clone(), history);
-        let replay = ident.push(&readings);
-        assert!(!replay.is_empty());
+        let mut window = SessionWindow::new(builder.clone(), history, HealthConfig::default());
+        let mut events = Vec::new();
+        window.push(&readings, &mut events);
+        let first_frames: Vec<(f64, Vec<f32>, HealthState)> = events
+            .into_iter()
+            .map_while(|ev| match ev {
+                WindowEvent::Frame {
+                    time_s,
+                    frame,
+                    health,
+                } => Some((time_s, frame, health)),
+                WindowEvent::Stale { .. } => None,
+            })
+            .take(history)
+            .collect();
+        assert_eq!(first_frames.len(), history);
+        let seq: Vec<Vec<f32>> = first_frames.iter().map(|f| f.1.clone()).collect();
+        let replay = model.predict_proba_with(&seq, &mut KernelScratch::new());
+        let (replay_time_s, _, replay_health) = first_frames[history - 1];
+        let replay_class = model.predict(&seq);
 
         let mut eng = ServeEngine::new(
             model,
@@ -906,11 +908,11 @@ mod tests {
         let served = eng.drain();
         assert!(!served.is_empty());
         let first = &served[0];
-        assert_eq!(first.time_s, replay[0].time_s);
-        assert_eq!(first.class, replay[0].class);
-        assert_eq!(first.health, replay[0].health);
+        assert_eq!(first.time_s, replay_time_s);
+        assert_eq!(first.class, replay_class);
+        assert_eq!(first.health, replay_health);
         assert_eq!(
-            first.probabilities, replay[0].probabilities,
+            first.probabilities, replay,
             "first full window must bit-match the replay baseline"
         );
     }

@@ -88,14 +88,6 @@ pub fn fft_in_buffer(buf: &mut Vec<Complex>) {
     }
 }
 
-/// Computes the forward DFT of a real-valued signal.
-///
-/// Convenience wrapper that promotes to complex; returns all `n` bins.
-pub fn fft_real(input: &[f64]) -> Vec<Complex> {
-    let x: Vec<Complex> = input.iter().map(|&v| Complex::new(v, 0.0)).collect();
-    fft(&x)
-}
-
 /// In-place radix-2 Cooley–Tukey FFT.
 ///
 /// # Panics
@@ -173,18 +165,6 @@ fn bluestein(input: &[Complex], inverse: bool) -> Vec<Complex> {
     fft_pow2_in_place(&mut a, true);
     let scale = 1.0 / m as f64;
     (0..n).map(|k| a[k].scale(scale) * chirp[k]).collect()
-}
-
-/// Shifts the zero-frequency bin to the centre of the spectrum.
-///
-/// Useful when plotting two-sided spectra.
-pub fn fftshift<T: Clone>(x: &[T]) -> Vec<T> {
-    let n = x.len();
-    let half = n.div_ceil(2);
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&x[half..]);
-    out.extend_from_slice(&x[..half]);
-    out
 }
 
 #[cfg(test)]
@@ -288,20 +268,14 @@ mod tests {
 
     #[test]
     fn real_input_is_conjugate_symmetric() {
-        let x: Vec<f64> = (0..32).map(|t| (t as f64 * 0.37).sin()).collect();
-        let spec = fft_real(&x);
+        let x: Vec<Complex> = (0..32)
+            .map(|t| Complex::new((t as f64 * 0.37).sin(), 0.0))
+            .collect();
+        let spec = fft(&x);
         let n = spec.len();
         for k in 1..n {
             assert!((spec[k] - spec[n - k].conj()).norm() < 1e-9);
         }
-    }
-
-    #[test]
-    fn fftshift_centres_dc() {
-        let v = vec![0, 1, 2, 3, 4, 5];
-        assert_eq!(fftshift(&v), vec![3, 4, 5, 0, 1, 2]);
-        let odd = vec![0, 1, 2, 3, 4];
-        assert_eq!(fftshift(&odd), vec![3, 4, 0, 1, 2]);
     }
 
     #[test]

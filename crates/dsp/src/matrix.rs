@@ -74,15 +74,6 @@ impl CMatrix {
         })
     }
 
-    /// Builds a column vector from a slice.
-    pub fn col_vector(data: &[Complex]) -> Self {
-        CMatrix {
-            rows: data.len(),
-            cols: 1,
-            data: data.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -130,11 +121,6 @@ impl CMatrix {
     /// Conjugate (Hermitian) transpose `Aᴴ`.
     pub fn hermitian_transpose(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
-    }
-
-    /// Plain transpose `Aᵀ` (no conjugation).
-    pub fn transpose(&self) -> CMatrix {
-        CMatrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
     /// Element-wise complex conjugate.

@@ -1,8 +1,7 @@
-//! Phase wrapping, unwrapping and ambiguity helpers.
+//! Phase wrapping and unwrapping helpers.
 //!
-//! RFID readers report phase modulo 2π — and the Impinj signal chain adds
-//! a further π ambiguity (Section V of the paper). These helpers fold,
-//! unfold and compare phases consistently.
+//! RFID readers report phase modulo 2π (Section V of the paper). These
+//! helpers wrap, unwrap and compare phases consistently.
 
 use std::f64::consts::PI;
 
@@ -69,25 +68,6 @@ pub fn unwrap(phases: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Folds a phase into `[0, π)`, discarding the π ambiguity the Impinj
-/// receive chain introduces (reported phase may be `φ` or `φ + π`).
-///
-/// Two reports of the same physical phase always fold to the same value.
-pub fn fold_pi_ambiguity(phi: f64) -> f64 {
-    let p = phi.rem_euclid(PI);
-    if p >= PI {
-        0.0
-    } else {
-        p
-    }
-}
-
-/// Distance between two phases under the π ambiguity, in `[0, π/2]`.
-pub fn ambiguous_distance(a: f64, b: f64) -> f64 {
-    let d = (fold_pi_ambiguity(a) - fold_pi_ambiguity(b)).abs();
-    d.min(PI - d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,21 +114,5 @@ mod tests {
     fn unwrap_empty_and_single() {
         assert!(unwrap(&[]).is_empty());
         assert_eq!(unwrap(&[1.5]), vec![1.5]);
-    }
-
-    #[test]
-    fn pi_fold_collapses_ambiguity() {
-        for phi in [0.3, 1.0, 2.5, 3.0] {
-            let a = fold_pi_ambiguity(phi);
-            let b = fold_pi_ambiguity(phi + PI);
-            assert!((a - b).abs() < 1e-9, "phi={phi}");
-        }
-    }
-
-    #[test]
-    fn ambiguous_distance_bounds() {
-        assert!(ambiguous_distance(0.0, PI / 2.0) <= PI / 2.0 + 1e-12);
-        assert!((ambiguous_distance(0.2, 0.2 + PI)).abs() < 1e-9);
-        assert!((ambiguous_distance(0.0, 0.4) - 0.4).abs() < 1e-9);
     }
 }

@@ -61,21 +61,10 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     v[lo] * (1.0 - frac) + v[hi] * frac
 }
 
-/// Circular mean of angles (radians), in `(-π, π]`; `0.0` when empty.
-pub fn circular_mean(phases: &[f64]) -> f64 {
-    if phases.is_empty() {
-        return 0.0;
-    }
-    let (s, c) = phases
-        .iter()
-        .fold((0.0, 0.0), |(s, c), &p| (s + p.sin(), c + p.cos()));
-    s.atan2(c)
-}
-
 /// Circular "median": the sample angle minimising the summed circular
 /// distance to all others. `0.0` when empty.
 ///
-/// More robust than [`circular_mean`] against the π-flips the Impinj
+/// More robust than a circular mean against the π-flips the Impinj
 /// receive chain injects.
 pub fn circular_median(phases: &[f64]) -> f64 {
     if phases.is_empty() {
@@ -95,30 +84,6 @@ pub fn circular_median(phases: &[f64]) -> f64 {
         }
     }
     best
-}
-
-/// Pearson correlation coefficient of two equal-length slices.
-///
-/// Returns `0.0` for degenerate inputs (length < 2, zero variance or
-/// mismatched lengths).
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx) * (x - mx);
-        syy += (y - my) * (y - my);
-    }
-    if sxx <= 0.0 || syy <= 0.0 {
-        return 0.0;
-    }
-    sxy / (sxx * syy).sqrt()
 }
 
 /// Ordinary least squares fit `y ≈ slope·x + intercept`.
@@ -187,27 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn circular_mean_wraps() {
-        // Angles straddling the wrap point average near the wrap, not π.
-        let phases = [0.1, -0.1 + 2.0 * PI];
-        let m = circular_mean(&phases);
-        assert!(m.abs() < 1e-9, "got {m}");
-    }
-
-    #[test]
     fn circular_median_picks_cluster() {
         let phases = [0.1, 0.12, 0.09, 3.0];
         let m = circular_median(&phases);
         assert!((m - 0.1).abs() < 0.05, "got {m}");
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -223,10 +171,7 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(median(&[]), 0.0);
-        assert_eq!(circular_mean(&[]), 0.0);
         assert_eq!(circular_median(&[]), 0.0);
-        assert_eq!(pearson(&[1.0], &[1.0]), 0.0);
-        assert_eq!(pearson(&[1.0, 2.0], &[3.0]), 0.0);
         let (s, i) = linear_fit(&[], &[]);
         assert_eq!((s, i), (0.0, 0.0));
     }

@@ -74,7 +74,7 @@
 //!
 //! ## Self-healing (supervision)
 //!
-//! Worker failure is a first-class input ([`supervisor`] module): every
+//! Worker failure is a first-class input (the `supervisor` module): every
 //! engine call runs under `catch_unwind`, workers heartbeat once per
 //! loop, and a dedicated supervisor thread
 //!

@@ -16,7 +16,8 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Self-healing knobs for the fabric (see [`crate::supervisor`]).
+/// Self-healing knobs for the fabric (see the crate docs'
+/// "Self-healing" section).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// Master switch. Disabled, the fabric behaves like the

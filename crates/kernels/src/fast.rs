@@ -23,7 +23,7 @@ const MB: usize = 4;
 
 /// C\[m×n\] += A\[m×k\] · B\[k×n\], row-major.
 ///
-/// Rows go in blocks of [`MB`]: each loaded `B` block feeds `MB` rows,
+/// Rows go in blocks of `MB`: each loaded `B` block feeds `MB` rows,
 /// so `MB` × block-width independent FMA chains are in flight. Every
 /// output still reduces its own single chain over ascending `k`.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {

@@ -4,7 +4,7 @@
 //! paper) is some flavour of matrix multiply. This crate provides that
 //! one primitive in two interchangeable implementations:
 //!
-//! * [`reference`] — the naive scalar triple-loops the seed repository
+//! * [`reference`](mod@reference) — the naive scalar triple-loops the seed repository
 //!   shipped with, preserved verbatim (same iteration order, same
 //!   `acc += a * b` arithmetic). This is the semantic ground truth.
 //! * [`fast`] — register-blocked microkernels built on [`f32::mul_add`]

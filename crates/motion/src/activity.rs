@@ -103,7 +103,7 @@ impl GestureScript {
     ///
     /// At a step boundary the outgoing gesture keeps playing and fades
     /// out while the incoming one fades in (smoothstep over
-    /// [`Self::BLEND_S`] seconds) — limbs move continuously between
+    /// `BLEND_S` seconds) — limbs move continuously between
     /// gestures instead of teleporting to the next pose.
     pub fn offset(&self, site: TagSite, t: f64, vol: &Volunteer) -> Vec2 {
         let (idx, local) = self.step_at(t);

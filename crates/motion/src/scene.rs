@@ -95,16 +95,6 @@ impl ActivityScene {
         &self.scenario
     }
 
-    /// Body position of person `i` at time `t`.
-    pub fn body_position(&self, i: usize, t: f64) -> Point2 {
-        let prog = &self.scenario.programs[i];
-        let vol = &self.volunteers[i];
-        let anchor = self.placement + prog.anchor_offset;
-        let base = prog.trajectory.position(anchor, t + self.time_offset, vol);
-        let (sx, sy) = vol.sway(t + self.time_offset);
-        base + Vec2::new(sx, sy)
-    }
-
     /// World state at time `t`, ready for the simulated reader.
     pub fn snapshot(&self, t: f64) -> SceneSnapshot {
         let t = t + self.time_offset;

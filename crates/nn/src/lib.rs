@@ -13,7 +13,7 @@
 //!   topology with a per-frame softmax head (Section IV-C);
 //! * [`loss`] — softmax cross-entropy (Eq. 17);
 //! * [`optim`] — SGD with momentum and gradient-norm scaling (the
-//!   paper's anti-exploding-gradient measure) plus Adam;
+//!   paper's anti-exploding-gradient measure), the only optimizer;
 //! * [`train`] — minibatch training with multi-threaded data-parallel
 //!   gradient evaluation, dataset splitting, early metrics;
 //! * [`metrics`] — accuracy and confusion matrices (Table I);

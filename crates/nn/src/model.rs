@@ -490,14 +490,9 @@ impl SequenceClassifier {
         self.n_classes
     }
 
-    /// Per-frame logits for a sequence of frames (inference only).
-    pub fn forward_logits(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        kernels::with_thread_scratch(|s| self.forward_logits_with(frames, s))
-    }
-
-    /// [`SequenceClassifier::forward_logits`] reusing buffers from
-    /// `scratch`; the encoder and the per-frame head each run as one
-    /// batch over the whole sequence.
+    /// Per-frame logits for a sequence of frames (inference only),
+    /// reusing buffers from `scratch`; the encoder and the per-frame
+    /// head each run as one batch over the whole sequence.
     pub fn forward_logits_with(
         &self,
         frames: &[Vec<f32>],
@@ -621,25 +616,6 @@ impl SequenceClassifier {
         kernels::with_thread_scratch(|s| self.step_with(frame, state, s))
     }
 
-    /// Fallible [`SequenceClassifier::step_with`]: non-finite
-    /// probabilities (NaN inputs, diverged parameters) become an
-    /// [`Error`] instead of silent garbage. On error the probability
-    /// ring still absorbed the frame; callers treating the stream as
-    /// poisoned should [`StreamState::reset`] it.
-    pub fn try_step_with(
-        &self,
-        frame: &[f32],
-        state: &mut StreamState,
-        scratch: &mut KernelScratch,
-    ) -> Result<Vec<f32>, Error> {
-        let p = self.step_with(frame, state, scratch);
-        if p.iter().all(|v| v.is_finite()) {
-            Ok(p)
-        } else {
-            Err(Error::NonFiniteOutput)
-        }
-    }
-
     /// Mean per-frame class probabilities.
     ///
     /// # Panics
@@ -677,21 +653,10 @@ impl SequenceClassifier {
     /// probabilities (NaN inputs, diverged parameters) become [`Error`]s
     /// instead of panics or silent garbage.
     pub fn try_predict_proba(&self, frames: &[Vec<f32>]) -> Result<Vec<f32>, Error> {
-        kernels::with_thread_scratch(|s| self.try_predict_proba_with(frames, s))
-    }
-
-    /// [`SequenceClassifier::try_predict_proba`] reusing buffers from
-    /// `scratch` — the signature streaming callers drive so the
-    /// steady-state window path stops allocating per prediction.
-    pub fn try_predict_proba_with(
-        &self,
-        frames: &[Vec<f32>],
-        scratch: &mut KernelScratch,
-    ) -> Result<Vec<f32>, Error> {
         if frames.is_empty() {
             return Err(Error::EmptySequence);
         }
-        let p = self.predict_proba_with(frames, scratch);
+        let p = self.predict_proba(frames);
         if p.iter().all(|v| v.is_finite()) {
             Ok(p)
         } else {
@@ -875,7 +840,7 @@ mod tests {
 
         // Numeric: perturb each parameter (sampled) of a fresh clone.
         let loss_of = |mm: &SequenceClassifier| {
-            let logits = mm.forward_logits(&frames);
+            let logits = kernels::with_thread_scratch(|s| mm.forward_logits_with(&frames, s));
             logits
                 .iter()
                 .map(|l| crate::loss::softmax_cross_entropy(l, label).0)
@@ -1110,17 +1075,6 @@ mod tests {
             replayed = m.step(f, &mut state);
         }
         assert_eq!(replayed, m.predict_proba(&frames), "reset state not fresh");
-    }
-
-    #[test]
-    fn try_step_reports_nan() {
-        let mut diverged = tiny_model(15);
-        diverged.visit_params(&mut |p, _| p.iter_mut().for_each(|v| *v = f32::NAN));
-        let mut state = diverged.stream_state(3);
-        let got = kernels::with_thread_scratch(|s| {
-            diverged.try_step_with(&[0.1, 0.2, 0.3, 0.4], &mut state, s)
-        });
-        assert_eq!(got, Err(crate::error::Error::NonFiniteOutput));
     }
 
     #[test]

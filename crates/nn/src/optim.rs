@@ -1,9 +1,8 @@
-//! Optimizers: SGD with momentum and gradient-norm scaling, and Adam.
+//! The optimizer: SGD with momentum and gradient-norm scaling.
 //!
 //! The paper trains with stochastic gradient descent and "scales the
 //! norm of the gradient" to combat exploding gradients (Section VI-A);
-//! [`Sgd`] implements exactly that. [`Adam`] is provided for the
-//! extension experiments.
+//! [`Sgd`] implements exactly that, and it is the only optimizer.
 
 use crate::Parameterized;
 
@@ -88,84 +87,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba 2015) with optional norm clipping.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
-    /// Optional global-norm clip.
-    pub clip_norm: Option<f32>,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-    t: u32,
-}
-
-impl Adam {
-    /// Creates an Adam optimizer with the standard betas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f32, clip_norm: Option<f32>) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            clip_norm,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-
-    /// Applies one update; see [`Sgd::step`] for `grad_scale`.
-    pub fn step(&mut self, model: &mut dyn Parameterized, grad_scale: f32) {
-        let mut norm_sq = 0.0f32;
-        model.visit_params(&mut |_, g| {
-            norm_sq += g.iter().map(|v| v * grad_scale).map(|v| v * v).sum::<f32>();
-        });
-        let norm = norm_sq.sqrt();
-        let clip_scale = match self.clip_norm {
-            Some(c) if norm > c => c / norm,
-            _ => 1.0,
-        };
-        let eff = grad_scale * clip_scale;
-        if self.m.is_empty() {
-            model.visit_params(&mut |p, _| {
-                self.m.push(vec![0.0; p.len()]);
-                self.v.push(vec![0.0; p.len()]);
-            });
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let mut idx = 0;
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        model.visit_params(&mut |p, g| {
-            let m = &mut ms[idx];
-            let v = &mut vs[idx];
-            for i in 0..p.len() {
-                let gi = g[i] * eff;
-                m[i] = b1 * m[i] + (1.0 - b1) * gi;
-                v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
-                let mh = m[i] / bc1;
-                let vh = v[i] / bc2;
-                p[i] -= lr * mh / (vh.sqrt() + eps);
-            }
-            idx += 1;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,20 +165,6 @@ mod tests {
             .sqrt();
         // ‖update‖ = lr · clip = 0.1.
         assert!((step_norm - 0.1).abs() < 1e-4, "step norm {step_norm}");
-    }
-
-    #[test]
-    fn adam_descends() {
-        let (mut model, x, y) = toy_problem();
-        let mut opt = Adam::new(0.05, None);
-        for _ in 0..100 {
-            model.zero_grad();
-            loss_and_grads(&mut model, &x, &y);
-            opt.step(&mut model, 1.0);
-        }
-        model.zero_grad();
-        let final_loss = loss_and_grads(&mut model, &x, &y);
-        assert!(final_loss < 1e-3, "adam did not converge: {final_loss}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! `m2ai_slo_burn_rate{slo=...}` gauge in *thousandths* (the registry's
 //! gauges are integral): a reading of `1000` is burn rate 1.0.
 
-use crate::{HistogramSnapshot, Quantile};
+use crate::HistogramSnapshot;
 
 /// A latency SLO: target bound plus tolerated violation fraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,18 +173,6 @@ impl SloMonitor {
         SloVerdict {
             burn_rates,
             breached,
-        }
-    }
-
-    /// Convenience: latest cumulative quantile of the watched
-    /// histogram ([`Quantile::saturated`]-aware), `NaN` with no data.
-    pub fn latest_quantile(&self, q: f64) -> Quantile {
-        match self.samples.last() {
-            Some((_, s)) => s.quantile(q),
-            None => Quantile {
-                value: f64::NAN,
-                saturated: false,
-            },
         }
     }
 }

@@ -192,11 +192,6 @@ impl Reader {
         self
     }
 
-    /// The fault plan currently in effect.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// The reader's configuration.
     pub fn config(&self) -> &ReaderConfig {
         &self.config
@@ -205,12 +200,6 @@ impl Reader {
     /// The room this reader operates in.
     pub fn room(&self) -> &Room {
         &self.room
-    }
-
-    /// The hopping phase offsets in effect (for tests/calibration
-    /// ground truth).
-    pub fn phase_offsets(&self) -> &PhaseOffsets {
-        &self.offsets
     }
 
     /// Deterministic π-ambiguity flip for a (tag, antenna, channel)
@@ -335,28 +324,6 @@ impl Reader {
         out
     }
 
-    /// [`Reader::inventory_round`] tagged for tracing: head-samples a
-    /// fresh trace for the round ([`m2ai_obs::trace::begin_trace`] —
-    /// [`m2ai_obs::trace::TraceContext::NONE`] whenever sampling is
-    /// off, so the readings themselves are bit-identical either way),
-    /// records the round as an `ingest` span, and returns the context
-    /// so callers can carry it through extraction and serving.
-    pub fn inventory_round_traced(
-        &mut self,
-        scene: &SceneSnapshot,
-        t: f64,
-    ) -> (Vec<TagReading>, m2ai_obs::trace::TraceContext) {
-        let root = m2ai_obs::trace::begin_trace();
-        let mut span = root.child("ingest");
-        span.set_time_s(t);
-        let out = self.inventory_round(scene, t);
-        let ctx = span.ctx();
-        span.end();
-        // Downstream spans parent to the ingest span, not the bare
-        // root, so the round's full tree hangs together.
-        (out, if ctx.is_sampled() { ctx } else { root })
-    }
-
     /// Runs the reader for `duration_s`, querying `scene_at` for the
     /// world state at the start of each inventory round.
     ///
@@ -371,30 +338,6 @@ impl Reader {
         while t < duration_s {
             let scene = scene_at(t);
             out.extend(self.inventory_round(&scene, t));
-            t += round;
-        }
-        out
-    }
-
-    /// [`Reader::run`] with per-round trace tagging: yields one
-    /// `(round_start, readings, context)` triple per inventory round
-    /// via [`Reader::inventory_round_traced`]. The readings across all
-    /// rounds are bit-identical to [`Reader::run`]'s.
-    pub fn run_traced<F>(
-        &mut self,
-        mut scene_at: F,
-        duration_s: f64,
-    ) -> Vec<(f64, Vec<TagReading>, m2ai_obs::trace::TraceContext)>
-    where
-        F: FnMut(f64) -> SceneSnapshot,
-    {
-        let round = self.config.round_duration_s();
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        while t < duration_s {
-            let scene = scene_at(t);
-            let (readings, ctx) = self.inventory_round_traced(&scene, t);
-            out.push((t, readings, ctx));
             t += round;
         }
         out

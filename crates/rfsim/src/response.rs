@@ -48,22 +48,17 @@ pub fn backscatter_response(
     one_way * one_way
 }
 
-/// Response across a whole `n`-element array (element 0 first).
-pub fn array_response(
-    paths: &[PropagationPath],
-    n_elements: usize,
-    spacing_m: f64,
-    frequency_hz: f64,
-) -> Vec<Complex> {
-    (0..n_elements)
-        .map(|k| backscatter_response(paths, k, spacing_m, frequency_hz))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paths::PathKind;
+
+    /// The 4-element response to one path, element 0 first.
+    fn element_responses(p: &PropagationPath, spacing_m: f64) -> Vec<Complex> {
+        (0..4)
+            .map(|k| backscatter_response(std::slice::from_ref(p), k, spacing_m, F))
+            .collect()
+    }
 
     fn path(length: f64, aoa_deg: f64, amplitude: f64) -> PropagationPath {
         PropagationPath {
@@ -92,7 +87,7 @@ mod tests {
     fn broadside_path_same_phase_at_all_elements() {
         // cos(90°) = 0: no inter-element phase shift.
         let p = path(4.0, 90.0, 1.0);
-        let hs = array_response(&[p], 4, 0.04, F);
+        let hs = element_responses(&p, 0.04);
         for k in 1..4 {
             assert!((hs[k] - hs[0]).norm() < 1e-9);
         }
@@ -102,7 +97,7 @@ mod tests {
     fn endfire_path_phase_advances_per_element() {
         let p = path(4.0, 0.0, 1.0);
         let spacing = 0.04;
-        let hs = array_response(&[p], 4, spacing, F);
+        let hs = element_responses(&p, spacing);
         let lambda = SPEED_OF_LIGHT / F;
         let expected_step = -4.0 * std::f64::consts::PI * spacing / lambda;
         for k in 1..4 {
@@ -121,7 +116,7 @@ mod tests {
         let spacing = 0.04;
         let lambda = SPEED_OF_LIGHT / F;
         let p = path(5.0, theta, 1.0);
-        let hs = array_response(&[p], 4, spacing, F);
+        let hs = element_responses(&p, spacing);
         let cfg = MusicConfig {
             n_antennas: 4,
             spacing_wavelengths: spacing / lambda,

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use m2ai_core::dataset::{generate_dataset, DatasetBundle, ExperimentConfig, RoomKind};
     pub use m2ai_core::frames::{FeatureMode, FrameBuilder, FrameLayout};
     pub use m2ai_core::network::{build_model, Architecture};
-    pub use m2ai_core::online::{HealthConfig, HealthState, OnlineIdentifier, OnlinePrediction};
+    pub use m2ai_core::online::{HealthConfig, HealthState};
     pub use m2ai_core::pipeline::{evaluate_baselines, train_m2ai, TrainOptions, TrainOutcome};
     pub use m2ai_motion::activity::{catalog, ActivityId, ActivityScenario};
     pub use m2ai_motion::scene::ActivityScene;

@@ -1,5 +1,5 @@
 //! End-to-end fault-injection tests: the read→frame→predict pipeline
-//! under the PR-2 fault model.
+//! under the reader's fault model (`FaultPlan`).
 //!
 //! The contracts checked here:
 //!
@@ -8,13 +8,14 @@
 //! * read loss grows with fault intensity;
 //! * no frame or prediction ever contains a non-finite value, no
 //!   matter how hard the stream is faulted;
-//! * training survives faulted data, and the streaming identifier
+//! * training survives faulted data, and a `ServeEngine` session
 //!   degrades and recovers instead of crashing.
 
 use m2ai::core::dataset::{generate_dataset, ExperimentConfig};
 use m2ai::core::frames::{FrameBuilder, FrameLayout};
 use m2ai::core::network::build_model;
-use m2ai::core::online::{HealthConfig, HealthState, OnlineIdentifier};
+use m2ai::core::online::{HealthConfig, HealthState};
+use m2ai::core::serve::{ServeConfig, ServeEngine};
 use m2ai::prelude::*;
 use m2ai::rfsim::geometry::Point2;
 
@@ -132,23 +133,27 @@ fn training_survives_a_faulted_dataset() {
     }
 }
 
-/// Streams a faulted read sequence through the online identifier: the
-/// state machine may flag or suppress, but every emitted prediction
+/// Streams a faulted read sequence through a one-session serve engine:
+/// the state machine may flag or suppress, but every emitted prediction
 /// must be finite and well-formed.
 #[test]
-fn online_identifier_survives_a_faulted_stream() {
+fn serve_engine_survives_a_faulted_stream() {
     let layout = FrameLayout::new(1, 4, FeatureMode::Joint);
     let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(1, 4), 0.5);
     let model = build_model(&layout, 12, Architecture::CnnLstm, 1);
-    let mut ident = OnlineIdentifier::with_health_config(
-        builder,
+    let mut engine = ServeEngine::new(
         model,
-        2,
-        HealthConfig {
-            stale_timeout_s: 1.0,
-            ..HealthConfig::default()
+        builder,
+        ServeConfig {
+            history_len: 2,
+            health: HealthConfig {
+                stale_timeout_s: 1.0,
+                ..HealthConfig::default()
+            },
+            ..ServeConfig::default()
         },
     );
+    let id = engine.open_session().unwrap();
 
     let mut reader = Reader::new(Room::hall(), ReaderConfig::default(), 1)
         .with_fault_plan(FaultPlan::with_intensity(0.9, 2026));
@@ -159,7 +164,8 @@ fn online_identifier_survives_a_faulted_stream() {
         "some reads must survive 0.9 intensity"
     );
 
-    let preds = ident.push(&readings);
+    engine.push(id, &readings).unwrap();
+    let preds = engine.drain();
     for p in &preds {
         assert!(p.class < 12);
         assert!(p.confidence.is_finite());
@@ -172,7 +178,7 @@ fn online_identifier_survives_a_faulted_stream() {
     // to end: either some window was flagged or some output suppressed.
     let flagged = preds.iter().any(|p| p.health != HealthState::Healthy);
     assert!(
-        flagged || ident.suppressed() > 0 || preds.is_empty(),
+        flagged || engine.suppressed() > 0 || preds.is_empty(),
         "a heavily faulted stream reported uniformly healthy output"
     );
 }
